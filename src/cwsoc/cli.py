@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,16 +47,6 @@ class RunManifest:
     timestamp: str
     code_version: str
     output_paths: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "sampler": self.sampler,
-            "timestamp": self.timestamp,
-            "code_version": self.code_version,
-            "output_paths": self.output_paths,
-        }
 
 
 def _fmt(x: float) -> str:
@@ -131,7 +121,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, sampler: dict, ou
         output_paths=outputs,
     )
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def _simulate_worker(job: tuple[ModelParams, SamplerConfig, int, int]):

@@ -1,9 +1,9 @@
-"""The quartic limit law C * exp(-x^4 / (4 sigma^4)) dx and its gamma-function machinery.
+"""The quartic limit law C * exp(-x^4 / (4 sigma^4)) dx.
 
-The gamma function is evaluated with a Lanczos rational approximation and the
-regularized lower incomplete gamma with the usual series / continued-fraction
-split.  Both are validated in the test suite against adaptive quadrature of
-the defining integrals, which keeps the verification self-contained.
+Its CDF is 1/2 +- P(1/4, x^4/(4 sigma^4))/2 with P the regularized lower
+incomplete gamma, so the CDF and the quantile are closed forms in
+``scipy.special`` and accept arrays.  The test suite checks the gamma
+functions used here against adaptive quadrature of the defining integrals.
 """
 
 from __future__ import annotations
@@ -12,107 +12,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gamma, gammainc, gammaincinv, gammaln
 
 from .model import DomainError
 
 __all__ = [
-    "gamma_fn",
-    "log_gamma",
-    "regularized_gamma_p",
     "normalizer",
     "QuarticLaw",
 ]
-
-# Lanczos coefficients for g = 7, 9 terms (Godfrey's set, ~1e-15 relative
-# accuracy on the half-plane Re z >= 0.5).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(z: float) -> float:
-    """Natural log of the gamma function for z > 0."""
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0):
-        raise DomainError(f"log_gamma requires z > 0, got {z!r}")
-    z = float(z)
-    if z < 0.5:
-        # Reflection keeps the Lanczos sum in its accurate half-plane.
-        return math.log(math.pi / math.sin(math.pi * z)) - log_gamma(1.0 - z)
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z - 1.0 + i)
-    t = z - 0.5 + _LANCZOS_G
-    return _HALF_LOG_2PI + (z - 0.5) * math.log(t) - t + math.log(acc)
-
-
-def gamma_fn(z: float) -> float:
-    """Gamma(z) for z > 0, relative error below 1e-12 on [0.1, 50]."""
-    return math.exp(log_gamma(z))
-
-
-def regularized_gamma_p(a: float, x: float, *, eps: float = 1e-16, max_iter: int = 500) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0.
-
-    Series representation for x < a + 1, Lentz continued fraction for the
-    complementary function otherwise (the standard stable regime split).
-    """
-    if not a > 0.0:
-        raise DomainError(f"shape must be positive, got {a!r}")
-    if x < 0.0:
-        raise DomainError(f"argument must be nonnegative, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    log_prefactor = a * math.log(x) - x - log_gamma(a)
-    if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(max_iter):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * eps:
-                return min(1.0, total * math.exp(log_prefactor))
-        raise ArithmeticError("incomplete gamma series failed to converge")
-    # Continued fraction for Q(a, x), evaluated with the modified Lentz scheme.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return 1.0 - math.exp(log_prefactor) * h
-    raise ArithmeticError("incomplete gamma continued fraction failed to converge")
 
 
 def normalizer(sigma: float) -> float:
     """Total mass of exp(-x^4/(4 sigma^4)) dx, i.e. (sigma/sqrt(2)) * Gamma(1/4)."""
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
-    return sigma / math.sqrt(2.0) * gamma_fn(0.25)
+    return sigma / math.sqrt(2.0) * float(gamma(0.25))
 
 
 def _quartic_from_gamma(g: float, negative: bool, sigma: float) -> float:
@@ -134,7 +48,7 @@ class QuarticLaw:
         object.__setattr__(
             self,
             "log_normalizer",
-            math.log(self.sigma) - 0.5 * math.log(2.0) + log_gamma(0.25),
+            math.log(self.sigma) - 0.5 * math.log(2.0) + float(gammaln(0.25)),
         )
 
     def log_density(self, x: float) -> float:
@@ -143,25 +57,27 @@ class QuarticLaw:
     def density(self, x: float) -> float:
         return math.exp(self.log_density(x))
 
-    def cdf(self, x: float) -> float:
-        """Exact CDF via the regularized lower incomplete gamma."""
-        p_half = 0.5 * regularized_gamma_p(0.25, x**4 / (4.0 * self.sigma**4))
-        return 0.5 + p_half if x >= 0.0 else 0.5 - p_half
+    def cdf(self, x):
+        """Exact CDF 1/2 +- P(1/4, x^4/(4 sigma^4))/2; elementwise on arrays."""
+        x = np.asarray(x, dtype=float)
+        x_sq = x * x
+        p_half = 0.5 * gammainc(0.25, x_sq * x_sq / (4.0 * self.sigma**4))
+        return np.where(x >= 0.0, 0.5 + p_half, 0.5 - p_half)[()]
 
-    def quantile(self, p: float) -> float:
-        """Inverse CDF by bracketed root finding, accurate to ~1e-10."""
-        if not 0.0 < p < 1.0:
+    def quantile(self, p):
+        """Inverse CDF +-(4 sigma^4 P^{-1}(1/4, |2p - 1|))^{1/4}; elementwise on arrays.
+
+        The upper-half probability max(p, 1 - p) is what gets inverted, so
+        quantile(1 - p) == -quantile(p) holds exactly.
+        """
+        # Here and in cdf, products and square roots stand in for numpy's
+        # power, which can round differently on arrays than on scalars.
+        probs = np.asarray(p, dtype=float)
+        if not np.all((probs > 0.0) & (probs < 1.0)):
             raise DomainError(f"quantile requires p in (0, 1), got {p!r}")
-        if p == 0.5:
-            return 0.0
-        if p < 0.5:
-            return -self.quantile(1.0 - p)
-        from scipy.optimize import brentq
-
-        hi = self.sigma
-        while self.cdf(hi) < p:
-            hi *= 2.0
-        return brentq(lambda x: self.cdf(x) - p, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+        upper = np.maximum(probs, 1.0 - probs)
+        magnitude = np.sqrt(np.sqrt(4.0 * self.sigma**4 * gammaincinv(0.25, 2.0 * upper - 1.0)))
+        return np.where(probs < 0.5, -magnitude, magnitude)[()]
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Exact draws: X = +/- (4 sigma^4 G)^{1/4}, G ~ Gamma(1/4, 1), sign fair.
@@ -183,8 +99,8 @@ class QuarticLaw:
             raise DomainError(f"m must be a positive integer, got {m!r}")
         log_val = (
             0.5 * m * math.log(4.0 * self.sigma**4)
-            + log_gamma((2 * m + 1) / 4.0)
-            - log_gamma(0.25)
+            + gammaln((2 * m + 1) / 4.0)
+            - gammaln(0.25)
         )
         return math.exp(log_val)
 

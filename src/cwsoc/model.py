@@ -11,6 +11,7 @@ estimated in :mod:`cwsoc.verification`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -31,6 +32,7 @@ __all__ = [
     "in_support",
     "log_joint_density_unnormalized",
     "psi",
+    "psi_unchecked",
     "phi_weight",
     "log_rescaled_density_unnormalized",
 ]
@@ -53,14 +55,19 @@ class UnsupportedOrderError(DomainError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Number of spins and the standard deviation of the base Gaussian."""
+    """Number of spins and the standard deviation of the base Gaussian.
+
+    n may be any integral type except bool (numpy integers included); it is
+    stored as a Python int.
+    """
 
     n: int
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"sigma must be a positive finite real, got {self.sigma!r}")
 
@@ -160,6 +167,15 @@ def log_joint_density_unnormalized(stats: SumStats, params: ModelParams) -> floa
     )
 
 
+def psi_unchecked(x, y):
+    """The formula of psi, elementwise on scalars or arrays, without the wedge check.
+
+    Off the wedge it is the analytic continuation of psi while y > x (centered
+    finite differences at x = 0 step to x < 0) and nan or inf where y <= x.
+    """
+    return 0.5 * (-x / y + y - np.log(y - x))
+
+
 def psi(x: float, y: float) -> float:
     """Laplace exponent (1/2)(-x/y + y - ln(y - x)) on the wedge y > x >= 0.
 
@@ -167,7 +183,7 @@ def psi(x: float, y: float) -> float:
     """
     if not (x >= 0.0 and y > x):
         raise DomainError(f"point ({x!r}, {y!r}) outside the wedge y > x >= 0")
-    return 0.5 * (-x / y + y - math.log(y - x))
+    return float(psi_unchecked(x, y))
 
 
 def phi_weight(x: float, y: float) -> float:

@@ -128,66 +128,25 @@ def init_chain(params: ModelParams, cfg: SamplerConfig, chain_id: int = 0) -> Ch
     return ChainState(x=x, s=s, t=t, params=params, cfg=cfg, rng=rng, chain_id=chain_id)
 
 
-def _log_target(s: float, t: float, inv_two_sigma_sq: float) -> float:
-    return s * s / (2.0 * t) - t * inv_two_sigma_sq
+def _metropolis(chain: ChainState, sites: list, normals: list, uniforms: list) -> int:
+    """The Metropolis kernel: one single-site step per (site, normal, uniform)
+    triple of plain Python numbers; returns the number of accepted proposals.
 
-
-def step(chain: ChainState) -> bool:
-    """One single-site Metropolis step; returns True iff the proposal was accepted.
-
-    Draw order per step is fixed: site index, proposal normal, acceptance
-    uniform.  Proposals that would make the cached t nonpositive (possible
-    only through float cancellation) are rejected outright.
+    Proposals that would make the cached t nonpositive (possible only through
+    float cancellation) are rejected outright.
     """
-    params, cfg = chain.params, chain.cfg
-    n = params.n
-    k = int(chain.rng.integers(0, n))
-    z = chain.rng.standard_normal()
-    u = chain.rng.random()
-
-    old = chain.x[k]
-    new = old + cfg.proposal_scale * params.sigma * z
-    s_new = chain.s - old + new
-    t_new = chain.t - old * old + new * new
-
-    chain.proposed += 1
-    if not t_new > 0.0:
-        return False
-    inv_two_sigma_sq = 1.0 / (2.0 * params.sigma**2)
-    delta = _log_target(s_new, t_new, inv_two_sigma_sq) - _log_target(chain.s, chain.t, inv_two_sigma_sq)
-    if delta >= 0.0 or u < math.exp(delta):
-        chain.x[k] = new
-        chain.s = s_new
-        chain.t = t_new
-        chain.accepted += 1
-        return True
-    return False
-
-
-def _sweep(chain: ChainState) -> None:
-    """n steps with per-sweep vectorized RNG blocks (sites, normals, uniforms)."""
-    params, cfg = chain.params, chain.cfg
-    n = params.n
-    rng = chain.rng
-    sites = rng.integers(0, n, size=n)
-    normals = rng.standard_normal(n)
-    uniforms = rng.random(n)
-
+    params = chain.params
     # plain-float locals: numpy scalars give identical IEEE results but are
     # several times slower in this loop
     x = chain.x
-    site_list = sites.tolist()
-    normal_list = normals.tolist()
-    uniform_list = uniforms.tolist()
     s = chain.s
     t = chain.t
-    scale = cfg.proposal_scale * params.sigma
+    scale = chain.cfg.proposal_scale * params.sigma
     inv_two_sigma_sq = 1.0 / (2.0 * params.sigma**2)
     accepted = 0
-    for j in range(n):
-        k = site_list[j]
+    for k, z, u in zip(sites, normals, uniforms):
         old = float(x[k])
-        new = old + scale * normal_list[j]
+        new = old + scale * z
         s_new = s - old + new
         t_new = t - old * old + new * new
         if not t_new > 0.0:
@@ -198,7 +157,7 @@ def _sweep(chain: ChainState) -> None:
             - s * s / (2.0 * t)
             + t * inv_two_sigma_sq
         )
-        if delta >= 0.0 or uniform_list[j] < math.exp(delta):
+        if delta >= 0.0 or u < math.exp(delta):
             x[k] = new
             s = s_new
             t = t_new
@@ -206,7 +165,30 @@ def _sweep(chain: ChainState) -> None:
     chain.s = s
     chain.t = t
     chain.accepted += accepted
-    chain.proposed += n
+    chain.proposed += len(sites)
+    return accepted
+
+
+def step(chain: ChainState) -> bool:
+    """One single-site Metropolis step; returns True iff the proposal was accepted.
+
+    Draw order per step is fixed: site index, proposal normal, acceptance
+    uniform.
+    """
+    k = int(chain.rng.integers(0, chain.params.n))
+    z = chain.rng.standard_normal()
+    u = chain.rng.random()
+    return _metropolis(chain, [k], [z], [u]) == 1
+
+
+def _sweep(chain: ChainState) -> None:
+    """n steps with per-sweep vectorized RNG blocks (sites, normals, uniforms)."""
+    n = chain.params.n
+    rng = chain.rng
+    sites = rng.integers(0, n, size=n)
+    normals = rng.standard_normal(n)
+    uniforms = rng.random(n)
+    _metropolis(chain, sites.tolist(), normals.tolist(), uniforms.tolist())
     chain.sweeps_done += 1
     if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
         chain.resync_stats()

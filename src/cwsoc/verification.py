@@ -25,9 +25,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import dblquad, quad
+from scipy.special import gammaln
 
-from .limit_law import log_gamma, normalizer
-from .model import DomainError, UnsupportedOrderError, MIN_DENSITY_N
+from .limit_law import normalizer
+from .model import DomainError, UnsupportedOrderError, MIN_DENSITY_N, psi, psi_unchecked
 
 __all__ = [
     "principal_log",
@@ -142,7 +143,7 @@ def log_density_closed_form(x: float, y: float, n: int) -> float:
         -0.5 * y
         + 0.5 * (n - 3) * math.log(gap)
         - 0.5 * (n * math.log(2.0) + math.log(math.pi * n))
-        - log_gamma(0.5 * (n - 1))
+        - float(gammaln(0.5 * (n - 1)))
     )
 
 
@@ -197,7 +198,7 @@ def _inner_cos_integral(x: float, v: float, n: int, q: float) -> complex:
 def _abs_cf_v_integral(n: int) -> float:
     """int_R (1 + 4 v^2)^{-(n-2)/4} dv, used in the truncation error budget."""
     p = 0.25 * (n - 2)
-    return 0.5 * math.sqrt(math.pi) * math.exp(log_gamma(p - 0.5) - log_gamma(p))
+    return 0.5 * math.sqrt(math.pi) * math.exp(gammaln(p - 0.5) - gammaln(p))
 
 
 def _qawf(f: Callable[[float], float], omega: float, kind: str, epsabs: float) -> tuple[float, float]:
@@ -225,15 +226,25 @@ def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6, q: float = 7.5
     frequency |y - x^2/n| after factoring the known linear phase x^2 v / n out
     of the inner integral; positive- and negative-v halves are integrated
     separately, so the imaginary residue is a genuine numerical diagnostic.
-    Raises InversionAccuracyError if the accumulated error bound exceeds tol.
+    Raises InversionAccuracyError if the accumulated error bound exceeds tol,
+    before any quadrature when the truncation term alone does.
     """
     if n < MIN_DENSITY_N:
         raise UnsupportedOrderError(f"characteristic function not integrable for n={n} < {MIN_DENSITY_N}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    inv_four_pi_sq = 1.0 / (_TWO_PI * _TWO_PI)
+    # Truncation of the inner integral at q Gaussian widths.  The quadrature
+    # error only adds to this term, so a tol below it cannot be met.
+    u_tail = math.exp(-0.5 * q * q) * math.sqrt(_TWO_PI / n) * _abs_cf_v_integral(n)
+    truncation = inv_four_pi_sq * u_tail
+    if truncation > tol:
+        raise InversionAccuracyError(
+            f"inversion at (x={x!r}, y={y!r}, n={n}): truncation error "
+            f"{truncation:.3e} alone exceeds tol {tol:.3e}"
+        )
     c = x * x / n
     w = y - c
-    inv_four_pi_sq = 1.0 / (_TWO_PI * _TWO_PI)
 
     cache_pos: dict[float, complex] = {}
     cache_neg: dict[float, complex] = {}
@@ -278,9 +289,7 @@ def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6, q: float = 7.5
         sin_part = complex(sin_pos_re - sin_neg_re, sin_pos_im - sin_neg_im)
         total = cos_part - 1j * math.copysign(1.0, w) * sin_part
 
-    # Truncation of the inner integral at q Gaussian widths.
-    u_tail = math.exp(-0.5 * q * q) * math.sqrt(_TWO_PI / n) * _abs_cf_v_integral(n)
-    error_bound = inv_four_pi_sq * err_total + inv_four_pi_sq * u_tail
+    error_bound = inv_four_pi_sq * err_total + truncation
     if error_bound > tol:
         raise InversionAccuracyError(
             f"inversion at (x={x!r}, y={y!r}, n={n}) reached error bound "
@@ -326,19 +335,15 @@ def _logsumexp(values: np.ndarray) -> float:
     return m + math.log(float(np.exp(values - m).sum()))
 
 
-def _psi_min_over_y(a: float) -> float:
-    ys = a + np.geomspace(1e-4, 80.0, 500)
-    return float((0.5 * (-a / ys + ys - np.log(ys - a))).min())
-
-
 def _rescaled_cutoffs(n: int, margin: float = 60.0) -> tuple[float, float]:
     """Window [0, X] x [., y_hi] outside which exp(-n(psi - 1/2)) < e^{-margin}.
 
     psi is increasing in its first argument, so the y cutoff only needs the
     x = 0 section (y - ln y)/2.
     """
+    y_offsets = np.geomspace(1e-4, 80.0, 500)
     a = 0.25
-    while n * (_psi_min_over_y(a) - 0.5) < margin and a < 1e6:
+    while n * (psi_unchecked(a, a + y_offsets).min() - 0.5) < margin and a < 1e6:
         a *= 1.5
     x_cut = math.sqrt(a * math.sqrt(n))
     target = 1.0 + 2.0 * margin / n
@@ -364,7 +369,7 @@ def _log_rescaled_mass(n: int, nodes: int) -> float:
     yt = a[:, None] + hy[:, None] * (ref_nodes[None, :] + 1.0)
     wy = hy[:, None] * ref_weights[None, :]
     gap = yt - a[:, None]
-    log_integrand = 0.5 * n * (a[:, None] / yt - yt) + 0.5 * (n - 3) * np.log(gap)
+    log_integrand = -n * psi_unchecked(a[:, None], yt) - 1.5 * np.log(gap)
     log_terms = log_integrand + np.log(wy) + np.log(wx)[:, None] + math.log(2.0)
     return _logsumexp(log_terms)
 
@@ -379,7 +384,7 @@ def estimate_C_n(n: int, base_nodes: int = 220) -> NormalizationEstimate:
     fine = _log_rescaled_mass(n, int(1.45 * base_nodes))
     quad_err = abs(fine - coarse) + 1e-13
     log_c = (1.75 + 0.5 * (n - 3)) * math.log(n) + fine
-    log_z = log_c - 0.5 * (n * math.log(2.0) + math.log(math.pi * n)) - log_gamma(0.5 * (n - 1))
+    log_z = log_c - 0.5 * (n * math.log(2.0) + math.log(math.pi * n)) - float(gammaln(0.5 * (n - 1)))
     if not 0.0 <= log_z <= 0.5 * n:
         raise NormalizationBoundError(
             f"log Z_{n} = {log_z!r} escaped [0, {0.5 * n}]; implementation bug"
@@ -430,16 +435,14 @@ def laplace_ratio(n: int, base_nodes: int = 240) -> float:
 # geometry of the Laplace exponent near its minimum
 # ---------------------------------------------------------------------------
 
-def _psi_formula(x: float, y: float) -> float:
-    # analytic continuation of psi across x = 0, for centered finite differences
-    return 0.5 * (-x / y + y - math.log(y - x))
-
-
 def psi_quadratic_expansion(h: float) -> tuple[tuple[float, float], tuple[float, float, float]]:
     """Central finite differences of psi at (0, 1): ((g_x, g_y), (H_xx, H_yy, H_xy))."""
     if not 0.0 < h < 0.1:
         raise DomainError(f"step must lie in (0, 0.1), got {h!r}")
-    f = _psi_formula
+
+    def f(x: float, y: float) -> float:
+        return float(psi_unchecked(x, y))  # the stencil steps to x = -h, off the wedge
+
     f00 = f(0.0, 1.0)
     g_x = (f(h, 1.0) - f(-h, 1.0)) / (2.0 * h)
     g_y = (f(0.0, 1.0 + h) - f(0.0, 1.0 - h)) / (2.0 * h)
@@ -494,7 +497,8 @@ def psi_grid_min_outside_box(
     valid = yg > xg
     outside_box = (np.abs(xg) >= delta) | (np.abs(yg - 1.0) >= delta)
     mask = valid & outside_box
-    vals = 0.5 * (-xg / yg + yg - np.log(np.where(valid, yg - xg, 1.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = psi_unchecked(xg, yg)
     return float(np.where(mask, vals, np.inf).min())
 
 
@@ -505,8 +509,8 @@ def psi_quadratic_lower_bound_margin(delta_star: float = 0.5, m: int = 400) -> f
     ys = np.linspace(1.0 - delta_star, 1.0 + delta_star, m + 1)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     valid = yg > xg
-    psi_vals = 0.5 * (-xg / yg + yg - np.log(np.where(valid, yg - xg, 1.0)))
-    margin = psi_vals - 0.5 - (xg * xg + (yg - 1.0) ** 2) / 8.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = psi_unchecked(xg, yg) - 0.5 - (xg * xg + (yg - 1.0) ** 2) / 8.0
     return float(np.where(valid, margin, np.inf).min())
 
 
@@ -514,15 +518,22 @@ def psi_quadratic_lower_bound_margin(delta_star: float = 0.5, m: int = 400) -> f
 # Kolmogorov-Smirnov distance
 # ---------------------------------------------------------------------------
 
-def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
-    """One-sample KS distance between a sorted sample and a reference CDF."""
+def ks_statistic(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """One-sample KS distance between a sorted sample and a reference CDF.
+
+    ``cdf`` is called once, on the whole sorted sample as a float array, and
+    must return the CDF at every sample in an array of the same shape (as
+    ``QuarticLaw.cdf`` does); wrap a scalar-only CDF in ``np.vectorize``.
+    """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("samples must be a nonempty 1-d sequence")
     if np.any(np.diff(arr) < 0.0):
         raise DomainError("samples must be sorted in nondecreasing order")
     n = arr.size
-    f_vals = np.fromiter((cdf(v) for v in arr), dtype=float, count=n)
+    f_vals = np.asarray(cdf(arr), dtype=float)
+    if f_vals.shape != arr.shape:
+        raise DomainError(f"cdf returned shape {f_vals.shape} for {arr.shape} samples")
     i = np.arange(1, n + 1, dtype=float)
     upper = float((i / n - f_vals).max())
     lower = float((f_vals - (i - 1.0) / n).max())
@@ -740,8 +751,6 @@ def suite_laplace(
     ratio_tol_100: float = 0.15,
     ratio_tol_400: float = 0.08,
 ) -> list[CheckReport]:
-    from .model import psi
-
     reports: list[CheckReport] = []
     reports.append(_abs_check("laplace/psi_minimum_value", psi(0.0, 1.0), 0.5, 1e-14))
     (g_x, g_y), (h_xx, h_yy, h_xy) = psi_quadratic_expansion(1e-4)

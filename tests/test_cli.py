@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end and its file contracts."""
 
+import hashlib
 import json
 import math
 
@@ -50,6 +51,17 @@ class TestSimulate:
         assert chain == "0" and sweep == "1"
         assert float(s_scaled) == float(s) / 16**0.75
         assert float(t_scaled) == float(t) / 16
+
+    def test_pinned_samples_digest(self, tmp_path):
+        # criterion 10's manifest; the digest pins the stream contract (draw
+        # order and kernel arithmetic), which a run-against-run comparison
+        # cannot see.  numpy does not promise Generator streams across versions:
+        # measured with numpy 2.4.
+        flags = ["simulate", "--n", "24", "--sigma", "1.5", "--sweeps", "200", "--burn-in", "50",
+                 "--thin", "2", "--chains", "4", "--seed", "12345", "--out", str(tmp_path)]
+        assert main(flags) == 0
+        digest = hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest()
+        assert digest == "7e70c7c8cb101ae602f8697847666d5f7f3e89b7c0df0c5f4d2603a5651712c5"
 
     def test_invalid_flag_exits_2(self, tmp_path):
         assert main(["simulate", "--n", "not-a-number", "--out", str(tmp_path)]) == 2
@@ -116,6 +128,11 @@ class TestVerify:
             assert item["pass"] is True
         stdout = capsys.readouterr().out
         assert "PASS" in stdout and "FAIL" not in stdout
+
+    def test_laplace_suite_report_is_plain_json(self, tmp_path):
+        assert main(["verify", "--suite", "laplace", "--n-list", "5", "--out", str(tmp_path)]) == 0
+        reports = json.loads(read(tmp_path / "report.json"))
+        assert all(item["pass"] is True for item in reports)
 
     def test_unknown_suite_exits_2(self, tmp_path):
         assert main(["verify", "--suite", "nonsense", "--out", str(tmp_path)]) == 2

@@ -1,4 +1,5 @@
-"""Tests of the quartic limit law against quadrature oracles and exact identities."""
+"""Tests of the quartic limit law and the scipy.special gamma functions it is
+built on, against quadrature oracles and exact identities."""
 
 import math
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma, gammainc, gammaln
 
-from cwsoc.limit_law import QuarticLaw, gamma_fn, log_gamma, normalizer, regularized_gamma_p
+from cwsoc.limit_law import QuarticLaw, normalizer
 from cwsoc.model import DomainError
 from cwsoc.samplers import chain_rng
 
@@ -24,57 +26,52 @@ def gamma_by_quadrature(z: float) -> float:
 
 class TestGammaFn:
     def test_half_is_sqrt_pi(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
     def test_factorial_values(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-13)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
+        assert gamma(1.0) == pytest.approx(1.0, rel=1e-13)
+        assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
 
     def test_quarter_against_quadrature(self):
-        assert gamma_fn(0.25) == pytest.approx(gamma_by_quadrature(0.25), rel=1e-10)
+        assert gamma(0.25) == pytest.approx(gamma_by_quadrature(0.25), rel=1e-10)
 
     @pytest.mark.parametrize("z", [0.1, 0.25, 0.5, 1.5, 3.7, 10.3, 27.5, 50.0])
     def test_contract_accuracy_on_range(self, z):
-        assert gamma_fn(z) == pytest.approx(gamma_by_quadrature(z), rel=1e-12)
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
-    def test_domain_errors(self, z):
-        with pytest.raises(DomainError):
-            gamma_fn(z)
+        assert gamma(z) == pytest.approx(gamma_by_quadrature(z), rel=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=40.0))
     @settings(max_examples=200)
     def test_recurrence(self, z):
-        assert gamma_fn(z + 1.0) == pytest.approx(z * gamma_fn(z), rel=1e-12)
+        assert gamma(z + 1.0) == pytest.approx(z * gamma(z), rel=1e-12)
 
     def test_log_gamma_large_argument(self):
-        # stays accurate far outside where gamma_fn fits a double
-        assert log_gamma(199.5) == pytest.approx(math.lgamma(199.5), rel=1e-13)
-        assert log_gamma(1000.0) == pytest.approx(math.lgamma(1000.0), rel=1e-13)
+        # stays accurate far outside where gamma fits a double
+        assert gammaln(199.5) == pytest.approx(math.lgamma(199.5), rel=1e-13)
+        assert gammaln(1000.0) == pytest.approx(math.lgamma(1000.0), rel=1e-13)
 
 
 class TestRegularizedGammaP:
     def test_zero_argument(self):
-        assert regularized_gamma_p(0.25, 0.0) == 0.0
+        assert gammainc(0.25, 0.0) == 0.0
 
     def test_saturates(self):
-        assert regularized_gamma_p(0.25, 60.0) == pytest.approx(1.0, abs=1e-14)
+        assert gammainc(0.25, 60.0) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("x", [0.04, 0.3, 1.21, 2.9, 8.1])
     def test_half_shape_matches_erf(self, x):
-        assert regularized_gamma_p(0.5, x) == pytest.approx(math.erf(math.sqrt(x)), abs=1e-13)
+        assert gammainc(0.5, x) == pytest.approx(math.erf(math.sqrt(x)), abs=1e-13)
 
     def test_series_cf_branch_continuity(self):
+        # x = a + 1 is where the classic series / continued-fraction split lies
         a = 0.25
         switch = a + 1.0
-        below = regularized_gamma_p(a, switch - 1e-9)
-        above = regularized_gamma_p(a, switch + 1e-9)
+        below = gammainc(a, switch - 1e-9)
+        above = gammainc(a, switch + 1e-9)
         assert abs(above - below) < 1e-9
 
     def test_monotone(self):
-        xs = np.linspace(0.0, 10.0, 200)
-        vals = [regularized_gamma_p(0.25, float(x)) for x in xs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        vals = gammainc(0.25, np.linspace(0.0, 10.0, 200))
+        assert np.all(np.diff(vals) >= 0.0)
 
 
 class TestNormalizer:
@@ -147,6 +144,12 @@ class TestQuarticLawCdf:
         for x in np.linspace(-5.0, 5.0, 11):
             assert scaled.cdf(x) == pytest.approx(base.cdf(x / 2.0), rel=1e-13, abs=1e-15)
 
+    def test_array_equals_elementwise_scalar_calls(self):
+        law = QuarticLaw(1.3)
+        xs = np.linspace(-6.0, 6.0, 240).reshape(12, 20)
+        expected = np.array([law.cdf(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+        np.testing.assert_array_equal(law.cdf(xs), expected)
+
 
 class TestQuarticLawQuantile:
     def test_median(self):
@@ -164,7 +167,7 @@ class TestQuarticLawQuantile:
         law = QuarticLaw(1.0)
         assert law.quantile(1.0 - p) == -law.quantile(p)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7, np.array([0.2, 0.5, 1.0])])
     def test_domain_errors(self, p):
         with pytest.raises(DomainError):
             QuarticLaw(1.0).quantile(p)
@@ -173,6 +176,11 @@ class TestQuarticLawQuantile:
         base, scaled = QuarticLaw(1.0), QuarticLaw(3.0)
         for p in (0.1, 0.35, 0.8, 0.99):
             assert scaled.quantile(p) == pytest.approx(3.0 * base.quantile(p), rel=1e-9, abs=1e-12)
+
+    def test_array_equals_elementwise_scalar_calls(self):
+        law = QuarticLaw(1.3)
+        ps = np.concatenate([[1e-12, 0.5, 1.0 - 1e-12], np.linspace(0.001, 0.999, 200)])
+        np.testing.assert_array_equal(law.quantile(ps), [law.quantile(float(p)) for p in ps])
 
 
 class TestQuarticLawSampler:
@@ -212,7 +220,7 @@ class TestQuarticLawSampler:
 class TestMoments:
     def test_second_moment_closed_form(self):
         law = QuarticLaw(1.0)
-        assert law.even_moment(1) == pytest.approx(2.0 * gamma_fn(0.75) / gamma_fn(0.25), rel=1e-14)
+        assert law.even_moment(1) == pytest.approx(2.0 * gamma(0.75) / gamma(0.25), rel=1e-14)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_even_moments_against_quadrature(self, m):

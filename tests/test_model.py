@@ -236,6 +236,13 @@ class TestParamTypes:
         with pytest.raises(DomainError):
             ModelParams(5, math.inf)
 
+    def test_numpy_integer_n_accepted_bool_rejected(self):
+        for n in (np.int64(8), np.int32(8)):
+            params = ModelParams(n)
+            assert params.n == 8 and type(params.n) is int
+        with pytest.raises(DomainError):
+            ModelParams(True)
+
     def test_scaling_exponent_defaults(self):
         exps = ScalingExponents()
         assert (exps.alpha, exps.beta) == (0.75, 1.0)

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincinv
 
-from cwsoc.limit_law import regularized_gamma_p
 from cwsoc.model import DomainError, ModelParams, SumStats, sum_stats
 from cwsoc.samplers import (
     ChainState,
@@ -239,10 +239,8 @@ class TestNuStarSampler:
 
         chi2 = sum((c - draws * p) ** 2 / (draws * p) for c, p in cells)
         dof = len(cells) - 1
-        # 99.9% quantile of chi-square via the package's own incomplete gamma
-        from scipy.optimize import brentq
-
-        crit = brentq(lambda x: regularized_gamma_p(dof / 2.0, x / 2.0) - 0.999, dof / 4.0, 10.0 * dof)
+        # 99.9% quantile of chi-square: P(dof/2, crit/2) = 0.999
+        crit = 2.0 * gammaincinv(dof / 2.0, 0.999)
         assert chi2 < crit, f"chi2 {chi2:.1f} exceeds 99.9% critical value {crit:.1f}"
 
 

@@ -210,13 +210,13 @@ class TestInversion:
 
 class TestNormalization:
     def test_identity_between_constants_holds_by_construction(self):
-        from cwsoc.limit_law import log_gamma
+        from scipy.special import gammaln
 
         est = estimate_C_n(7)
         reconstructed = (
             est.log_C_n
             - 0.5 * (7 * math.log(2.0) + math.log(math.pi * 7))
-            - log_gamma(3.0)
+            - gammaln(3.0)
         )
         assert est.log_Z_n == reconstructed
 
@@ -303,7 +303,7 @@ class TestKsStatistic:
         samples = np.sort(law.sample(rng, size=500))
         base = ks_statistic(samples, law.cdf)
         transform = lambda x: x**3 + 2.0 * x  # strictly increasing
-        inverse_cdf = lambda y: law.cdf(_invert_monotone(transform, y))
+        inverse_cdf = np.vectorize(lambda y: law.cdf(_invert_monotone(transform, y)))
         mapped = ks_statistic(np.sort(transform(samples)), inverse_cdf)
         assert mapped == pytest.approx(base, abs=1e-9)
 
@@ -314,6 +314,10 @@ class TestKsStatistic:
     def test_unsorted_rejected(self):
         with pytest.raises(DomainError):
             ks_statistic([1.0, 0.0], QuarticLaw(1.0).cdf)
+
+    def test_cdf_of_wrong_shape_rejected(self):
+        with pytest.raises(DomainError):
+            ks_statistic([-1.0, 0.0, 1.0], lambda xs: 0.5)
 
 
 def _invert_monotone(f, y, lo=-50.0, hi=50.0):
