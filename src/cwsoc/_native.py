@@ -1,0 +1,88 @@
+"""Builds and loads the compiled Metropolis kernel (``_kernel.c``) on first use.
+
+The library is compiled with the C compiler ``cc`` against numpy's shipped
+static ``numpy/random/lib/libnpyrandom.a``, so its draws run through the same
+C samplers as ``numpy.random.Generator``.  It is cached in this package's
+``__pycache__`` under a name keyed by the sha256 of the source, the compiler
+flags and the numpy version; a cache hit never runs the compiler.  Each build
+writes a private temporary file and moves it into place with ``os.replace``,
+so processes that build into the same cache at once all end up loading a
+complete library.  Nothing falls back to Python: a missing compiler or a
+failed build raises :class:`KernelBuildError`.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+CACHE_DIR = Path(__file__).with_name("__pycache__")
+NUMPY_RANDOM_LIB = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+COMPILER = "cc"
+# No -ffast-math and no -march: contraction into FMA or vectorized exp would
+# round differently from the Python arithmetic the kernel reproduces.
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_lib: ctypes.CDLL | None = None
+
+
+class KernelBuildError(RuntimeError):
+    """The compiled Metropolis kernel could not be built; the message carries
+    the compiler's stderr."""
+
+
+def _library_path() -> Path:
+    key = hashlib.sha256()
+    key.update(SOURCE.read_bytes())
+    key.update("\0".join(FLAGS).encode())
+    key.update(np.__version__.encode())
+    return CACHE_DIR / f"_kernel-{key.hexdigest()[:32]}.so"
+
+
+def _build(target: Path) -> None:
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=target.stem + ".", suffix=".tmp", dir=target.parent)
+    except OSError as exc:
+        raise KernelBuildError(f"cannot write the kernel cache in {target.parent}: {exc}") from exc
+    os.close(fd)
+    cmd = [
+        COMPILER, *FLAGS, "-I", np.get_include(), str(SOURCE), str(NUMPY_RANDOM_LIB), "-lm", "-o", tmp,
+    ]
+    try:
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise KernelBuildError(f"cannot run the C compiler {COMPILER!r} to build {SOURCE.name}: {exc}") from exc
+        if proc.returncode != 0:
+            raise KernelBuildError(
+                f"building {SOURCE.name} failed (exit {proc.returncode}): {' '.join(cmd)}\n{proc.stderr}"
+            )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def kernel() -> ctypes.CDLL:
+    """The loaded kernel library, built first if the cache has no copy."""
+    global _lib
+    if _lib is None:
+        path = _library_path()
+        if not path.exists():
+            _build(path)
+        lib = ctypes.CDLL(str(path))
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        lib.cw_metropolis.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, f64, f64]
+        lib.cw_metropolis.restype = i64
+        lib.cw_sweeps.argtypes = [ptr, ptr, i64, ptr, i64, f64, f64, ptr, ptr]
+        lib.cw_sweeps.restype = i64
+        _lib = lib
+    return _lib

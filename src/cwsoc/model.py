@@ -57,8 +57,8 @@ class UnsupportedOrderError(DomainError):
 class ModelParams:
     """Number of spins and the standard deviation of the base Gaussian.
 
-    n may be any integral type except bool (numpy integers included); it is
-    stored as a Python int.
+    n may be any integral type and sigma any real type except bool (numpy
+    scalars included); they are stored as a Python int and a Python float.
     """
 
     n: int
@@ -68,8 +68,12 @@ class ModelParams:
         if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma) and self.sigma > 0):
-            raise DomainError(f"sigma must be a positive finite real, got {self.sigma!r}")
+        sigma = self.sigma
+        if not (
+            isinstance(sigma, numbers.Real) and not isinstance(sigma, bool) and math.isfinite(sigma) and sigma > 0
+        ):
+            raise DomainError(f"sigma must be a positive finite real, got {sigma!r}")
+        object.__setattr__(self, "sigma", float(sigma))
 
 
 class SumStats(NamedTuple):
@@ -133,8 +137,16 @@ def log_tilt_weight(stats: SumStats) -> float:
 
 
 def interaction_energy(config: Sequence[float] | np.ndarray) -> float:
-    """(sum x_i)^2 / (2 sum x_i^2) for a configuration with at least one nonzero spin."""
-    stats = sum_stats(config)
+    """(sum x_i)^2 / (2 sum x_i^2) for a configuration with at least one nonzero spin.
+
+    The configuration is first scaled by the power of two that puts max|x_i|
+    in [0.5, 1).  The ratio is scale-invariant and such a scaling is exact, so
+    the result keeps its bits unless squares would leave the normal range,
+    where t = sum x_i^2 would otherwise lose its precision to subnormals.
+    """
+    x = np.asarray(config, dtype=float)
+    _, exponent = np.frexp(np.max(np.abs(x), initial=0.0))
+    stats = sum_stats(np.ldexp(x, -exponent))
     if not stats.t > 0.0:
         raise DomainError("interaction energy is undefined for the all-zero configuration")
     return log_tilt_weight(stats)

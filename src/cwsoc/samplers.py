@@ -3,7 +3,10 @@
 Two independent routes at the statistics level:
 
 * single-site random-walk Metropolis on the full configuration, with O(1)
-  incremental updates of (s, t), targeting the tilted measure exactly;
+  incremental updates of (s, t), targeting the tilted measure exactly.  The
+  kernel is compiled C (``_kernel.c``, built and cached by ``_native`` on
+  first use): ``run`` hands it each stretch of sweeps up to the next resync
+  in one call, draws included, and ``step`` one pre-drawn proposal;
 * exact iid draws of (s, t) from the untilted product law, reweighted by
   exp(s^2/(2t)) in a self-normalized importance-sampling estimator.
 
@@ -11,6 +14,10 @@ RNG streams: every chain owns a ``numpy`` Philox generator seeded with
 ``SeedSequence(entropy=seed, spawn_key=(chain_id,))``.  That derivation rule
 is part of the reproducibility contract: same (seed, chain_id) means the same
 stream, and distinct chain ids give statistically independent streams.
+Per sweep the draws come in three blocks, n sites, n proposal normals and n
+acceptance uniforms, which the kernel takes from the chain's bit generator
+through numpy's own C samplers: the stream is the one
+``integers(0, n, size=n)``, ``standard_normal(n)`` and ``random(n)`` give.
 """
 
 from __future__ import annotations
@@ -128,74 +135,63 @@ def init_chain(params: ModelParams, cfg: SamplerConfig, chain_id: int = 0) -> Ch
     return ChainState(x=x, s=s, t=t, params=params, cfg=cfg, rng=rng, chain_id=chain_id)
 
 
-def _metropolis(chain: ChainState, sites: list, normals: list, uniforms: list) -> int:
-    """The Metropolis kernel: one single-site step per (site, normal, uniform)
-    triple of plain Python numbers; returns the number of accepted proposals.
+def _kernel():
+    """The compiled Metropolis kernel, imported on first use so that importing
+    this module neither loads nor builds it."""
+    from ._native import kernel
 
-    Proposals that would make the cached t nonpositive (possible only through
-    float cancellation) are rejected outright.
-    """
-    params = chain.params
-    # plain-float locals: numpy scalars give identical IEEE results but are
-    # several times slower in this loop
+    return kernel()
+
+
+def _kernel_args(chain: ChainState):
+    """Checks the chain's configuration array for the compiled kernel and
+    returns (x, scale, 1/(2 sigma^2)) for it."""
     x = chain.x
-    s = chain.s
-    t = chain.t
-    scale = chain.cfg.proposal_scale * params.sigma
-    inv_two_sigma_sq = 1.0 / (2.0 * params.sigma**2)
-    accepted = 0
-    for k, z, u in zip(sites, normals, uniforms):
-        old = float(x[k])
-        new = old + scale * z
-        s_new = s - old + new
-        t_new = t - old * old + new * new
-        if not t_new > 0.0:
-            continue
-        delta = (
-            s_new * s_new / (2.0 * t_new)
-            - t_new * inv_two_sigma_sq
-            - s * s / (2.0 * t)
-            + t * inv_two_sigma_sq
-        )
-        if delta >= 0.0 or u < math.exp(delta):
-            x[k] = new
-            s = s_new
-            t = t_new
-            accepted += 1
-    chain.s = s
-    chain.t = t
-    chain.accepted += accepted
-    chain.proposed += len(sites)
-    return accepted
+    if not (
+        isinstance(x, np.ndarray)
+        and x.dtype == np.float64
+        and x.shape == (chain.params.n,)
+        and x.flags.c_contiguous
+        and x.flags.writeable
+    ):
+        raise DomainError("chain.x must be a writeable contiguous float64 array of n spins")
+    sigma = chain.params.sigma
+    return x, chain.cfg.proposal_scale * sigma, 1.0 / (2.0 * sigma**2)
 
 
 def step(chain: ChainState) -> bool:
     """One single-site Metropolis step; returns True iff the proposal was accepted.
 
     Draw order per step is fixed: site index, proposal normal, acceptance
-    uniform.
+    uniform.  Proposals that would make the cached t nonpositive (possible
+    only through float cancellation) are rejected outright.
     """
-    k = int(chain.rng.integers(0, chain.params.n))
-    z = chain.rng.standard_normal()
-    u = chain.rng.random()
-    return _metropolis(chain, [k], [z], [u]) == 1
-
-
-def _sweep(chain: ChainState) -> None:
-    """n steps with per-sweep vectorized RNG blocks (sites, normals, uniforms)."""
+    x, scale, inv_two_sigma_sq = _kernel_args(chain)
     n = chain.params.n
-    rng = chain.rng
-    sites = rng.integers(0, n, size=n)
-    normals = rng.standard_normal(n)
-    uniforms = rng.random(n)
-    _metropolis(chain, sites.tolist(), normals.tolist(), uniforms.tolist())
-    chain.sweeps_done += 1
-    if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
-        chain.resync_stats()
+    k = int(chain.rng.integers(0, n))
+    if not 0 <= k < n:
+        raise DomainError(f"site {k} outside 0..{n - 1}")
+    site = np.array([k], dtype=np.int64)
+    normal = np.array([chain.rng.standard_normal()])
+    uniform = np.array([chain.rng.random()])
+    st = np.array([chain.s, chain.t])
+    accepted = _kernel().cw_metropolis(
+        x.ctypes.data, st.ctypes.data, site.ctypes.data, normal.ctypes.data, uniform.ctypes.data,
+        1, scale, inv_two_sigma_sq,
+    )
+    chain.s, chain.t = st.tolist()
+    chain.accepted += accepted
+    chain.proposed += 1
+    return accepted == 1
 
 
 def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     """Advance the chain by `sweeps` sweeps, recording thinned post-burn-in stats.
+
+    Each sweep is n single-site steps whose draws come per sweep in three
+    blocks: n sites, n proposal normals, n acceptance uniforms.  Cached (s, t)
+    are recomputed from the configuration whenever the chain's sweep count
+    reaches a multiple of RESYNC_EVERY_SWEEPS.
 
     Sweep i (1-based, counted from the start of this call) is recorded when
     i > burn_in_sweeps and (i - burn_in_sweeps) is a multiple of thin_sweeps.
@@ -204,15 +200,55 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     """
     if sweeps < 0:
         raise DomainError(f"sweeps must be nonnegative, got {sweeps!r}")
-    cfg = chain.cfg
+    x, scale, inv_two_sigma_sq = _kernel_args(chain)
+    burn, thin = chain.cfg.burn_in_sweeps, chain.cfg.thin_sweeps
     n = chain.params.n
     s_denom = float(n) ** 0.75
     records: list[SampleRecord] = []
-    for i in range(1, sweeps + 1):
-        _sweep(chain)
-        lag = i - cfg.burn_in_sweeps
-        if lag > 0 and lag % cfg.thin_sweeps == 0:
-            records.append(SampleRecord(i, chain.s, chain.t, chain.s / s_denom, chain.t / n))
+    if sweeps == 0:
+        return records
+    lib = _kernel()
+    bit_generator = chain.rng.bit_generator
+    bitgen = bit_generator.ctypes.bit_generator.value
+    st = np.empty(2)
+    s_out = np.empty(min(sweeps, RESYNC_EVERY_SWEEPS))
+    t_out = np.empty_like(s_out)
+    done = 0
+    while done < sweeps:
+        # one stretch runs up to the chain's next resync boundary
+        stretch = min(sweeps - done, RESYNC_EVERY_SWEEPS - chain.sweeps_done % RESYNC_EVERY_SWEEPS)
+        st[:] = chain.s, chain.t
+        with bit_generator.lock:
+            accepted = lib.cw_sweeps(
+                bitgen, x.ctypes.data, n, st.ctypes.data, stretch, scale, inv_two_sigma_sq,
+                s_out.ctypes.data, t_out.ctypes.data,
+            )
+        if accepted < 0:
+            raise MemoryError("cannot allocate the per-sweep draw buffers")
+        chain.s, chain.t = st.tolist()
+        chain.accepted += accepted
+        chain.proposed += stretch * n
+        chain.sweeps_done += stretch
+        if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
+            chain.resync_stats()
+            s_out[stretch - 1], t_out[stretch - 1] = chain.s, chain.t
+        # the first sweep of this stretch recorded: i > burn, (i - burn) % thin == 0
+        first = max(done + 1, burn + thin)
+        first += -(first - burn) % thin
+        if first <= done + stretch:
+            s_rec = s_out[first - done - 1 : stretch : thin]
+            t_rec = t_out[first - done - 1 : stretch : thin]
+            records.extend(
+                map(
+                    SampleRecord,
+                    range(first, done + stretch + 1, thin),
+                    s_rec.tolist(),
+                    t_rec.tolist(),
+                    (s_rec / s_denom).tolist(),
+                    (t_rec / n).tolist(),
+                )
+            )
+        done += stretch
     return records
 
 

@@ -239,3 +239,14 @@ class TestMoments:
         assert law.moment(1) == 0.0
         assert law.moment(7) == 0.0
         assert law.moment(4) == law.even_moment(2)
+
+    def test_numpy_integer_orders_accepted_bool_rejected(self):
+        law = QuarticLaw(1.3)
+        assert law.even_moment(np.int64(2)) == law.even_moment(2)
+        assert law.moment(np.int64(4)) == law.moment(np.int32(4)) == law.even_moment(2)
+        assert law.moment(np.int64(3)) == 0.0
+        for call in (law.even_moment, law.moment):
+            with pytest.raises(DomainError):
+                call(True)
+            with pytest.raises(DomainError):
+                call(2.0)

@@ -1,6 +1,7 @@
 """Unit and property tests for the core model quantities."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cwsoc.model import (
 )
 
 finite_spin = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
-# t = sum(x^2) must not underflow to zero, so require one spin whose square is normal
+# t = sum(x^2) must not underflow to zero, so require one spin whose square is nonzero
 configurations = st.lists(finite_spin, min_size=1, max_size=30).filter(
     lambda xs: any(x * x > 0.0 for x in xs)
 )
@@ -76,13 +77,31 @@ class TestInteractionEnergy:
     @given(configurations)
     @settings(max_examples=200)
     def test_equals_tilt_weight_of_stats(self, xs):
-        assert interaction_energy(xs) == log_tilt_weight(sum_stats(xs))
+        # interaction_energy works on the spins scaled by the power of two that
+        # puts max|x| in [0.5, 1); the raw stats agree unless a square is subnormal
+        k = math.frexp(max(abs(x) for x in xs))[1]
+        scaled = [math.ldexp(x, -k) for x in xs]
+        assert interaction_energy(xs) == log_tilt_weight(sum_stats(scaled))
+        raw = sum_stats(xs)
+        squares = [x * x for x in xs] + [raw.s * raw.s, raw.t]
+        if all(v == 0.0 or v >= sys.float_info.min for v in squares):
+            assert interaction_energy(xs) == log_tilt_weight(raw)
 
     @given(configurations)
     @settings(max_examples=200)
     def test_cauchy_schwarz_bounds(self, xs):
         e = interaction_energy(xs)
         assert 0.0 <= e <= 0.5 * len(xs) * (1.0 + 1e-12)
+
+    def test_subnormal_squares_keep_full_precision(self):
+        # (s, t) of the raw spins are subnormal here and s^2/(2t) came out 1.0004
+        assert interaction_energy([5.530820815279729e-161] * 2) == 1.0
+
+    def test_invariant_under_power_of_two_scaling(self):
+        xs = [0.3, -1.7, 2.9, 1e-3]
+        expected = log_tilt_weight(sum_stats(xs))
+        for k in (-900, -40, 0, 40, 900):
+            assert interaction_energy([math.ldexp(x, k) for x in xs]) == expected
 
 
 class TestLogTiltWeight:
@@ -242,6 +261,14 @@ class TestParamTypes:
             assert params.n == 8 and type(params.n) is int
         with pytest.raises(DomainError):
             ModelParams(True)
+
+    def test_numpy_float_sigma_accepted_bool_rejected(self):
+        for sigma, stored in ((np.float32(1.5), 1.5), (np.float64(2.25), 2.25), (np.int64(2), 2.0), (3, 3.0)):
+            params = ModelParams(4, sigma)
+            assert params.sigma == stored and type(params.sigma) is float
+        for bad in (True, np.float32(-1.0), np.float32(np.inf), "1.5"):
+            with pytest.raises(DomainError):
+                ModelParams(4, bad)
 
     def test_scaling_exponent_defaults(self):
         exps = ScalingExponents()

@@ -1,0 +1,106 @@
+"""Tests for building, caching and loading the compiled Metropolis kernel."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cwsoc
+from cwsoc import _native
+from cwsoc.cli import main
+from cwsoc.model import ModelParams
+from cwsoc.samplers import SamplerConfig, init_chain, run
+
+SRC = str(Path(cwsoc.__file__).resolve().parent.parent)
+
+# Loads the kernel from the cache directory argv[1], optionally with the
+# compiler argv[2], and prints the last record of a short run.
+LOAD_AND_RUN = """
+import sys
+from pathlib import Path
+from cwsoc import _native
+_native.CACHE_DIR = Path(sys.argv[1])
+if len(sys.argv) > 2:
+    _native.COMPILER = sys.argv[2]
+from cwsoc.model import ModelParams
+from cwsoc.samplers import SamplerConfig, init_chain, run
+chain = init_chain(ModelParams(5, 1.0), SamplerConfig(burn_in_sweeps=0, seed=4))
+print(repr(run(chain, 30)[-1]))
+"""
+
+
+def python(*args, **popen):
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.Popen(
+        [sys.executable, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen
+    )
+
+
+def finish(proc):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return out
+
+
+def expected_last_record():
+    chain = init_chain(ModelParams(5, 1.0), SamplerConfig(burn_in_sweeps=0, seed=4))
+    return repr(run(chain, 30)[-1]) + "\n"
+
+
+def library_files(cache):
+    return sorted(p.name for p in cache.iterdir())
+
+
+class TestCache:
+    def test_second_load_in_fresh_process_does_not_compile(self, tmp_path):
+        cache = tmp_path / "cache"
+        first = finish(python("-c", LOAD_AND_RUN, str(cache)))
+        (built,) = library_files(cache)
+        # the second process could not run a compiler at all
+        second = finish(python("-c", LOAD_AND_RUN, str(cache), str(tmp_path / "no-such-cc")))
+        assert first == second == expected_last_record()
+        assert library_files(cache) == [built]
+
+    def test_simultaneous_builds_into_empty_cache(self, tmp_path):
+        cache = tmp_path / "cache"
+        procs = [python("-c", LOAD_AND_RUN, str(cache)) for _ in range(2)]
+        outputs = [finish(p) for p in procs]
+        assert outputs == [expected_last_record()] * 2
+        (built,) = library_files(cache)  # no temporary files left behind
+        assert built.endswith(".so")
+
+    def test_importing_the_cli_leaves_the_kernel_unloaded(self):
+        code = "import sys, cwsoc.cli, cwsoc.verification; print('cwsoc._native' in sys.modules)"
+        assert finish(python("-c", code)) == "False\n"
+
+
+class TestBuildFailure:
+    @pytest.fixture
+    def no_kernel(self, tmp_path, monkeypatch):
+        """An empty cache and no loaded library: the next use must build."""
+        monkeypatch.setattr(_native, "CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(_native, "_lib", None)
+        return monkeypatch
+
+    @pytest.fixture
+    def failing_compiler(self, tmp_path, no_kernel):
+        fake = tmp_path / "fake-cc"
+        fake.write_text("#!/bin/sh\necho 'fake-cc: out of order' >&2\nexit 1\n")
+        fake.chmod(0o755)
+        no_kernel.setattr(_native, "COMPILER", str(fake))
+
+    def test_failing_compiler_raises_with_its_stderr(self, tmp_path, failing_compiler):
+        with pytest.raises(_native.KernelBuildError, match="fake-cc: out of order"):
+            run(init_chain(ModelParams(4), SamplerConfig()), 1)
+        assert library_files(tmp_path / "cache") == []
+
+    def test_missing_compiler_raises_named_error(self, tmp_path, no_kernel):
+        no_kernel.setattr(_native, "COMPILER", str(tmp_path / "no-such-cc"))
+        with pytest.raises(_native.KernelBuildError, match="no-such-cc"):
+            _native.kernel()
+
+    def test_simulate_exits_1_with_compiler_message(self, tmp_path, capsys, failing_compiler):
+        assert main(["simulate", "--n", "8", "--sweeps", "5", "--out", str(tmp_path / "run")]) == 1
+        assert "fake-cc: out of order" in capsys.readouterr().err

@@ -8,8 +8,10 @@ from scipy.special import gammaincinv
 
 from cwsoc.model import DomainError, ModelParams, SumStats, sum_stats
 from cwsoc.samplers import (
+    RESYNC_EVERY_SWEEPS,
     ChainState,
     ImportanceResult,
+    SampleRecord,
     SamplerConfig,
     acceptance_rate,
     batch_means_stderr,
@@ -157,6 +159,98 @@ class TestRun:
         records = run(chain, 4500)
         mean_t = np.mean([r.t_scaled for r in records])
         assert 0.85 * sigma**2 < mean_t < 1.15 * sigma**2
+
+
+def oracle_run(chain, sweeps):
+    """Reference implementation of run() in pure Python.
+
+    Draws per sweep with the Generator API (n sites, n proposal normals, n
+    acceptance uniforms), steps in plain floats with math.exp, resyncs the
+    cached (s, t) at multiples of RESYNC_EVERY_SWEEPS and records by the
+    documented burn-in/thinning schedule.
+    """
+    params, cfg, rng = chain.params, chain.cfg, chain.rng
+    n = params.n
+    scale = cfg.proposal_scale * params.sigma
+    inv_two_sigma_sq = 1.0 / (2.0 * params.sigma**2)
+    records = []
+    for i in range(1, sweeps + 1):
+        sites = rng.integers(0, n, size=n).tolist()
+        normals = rng.standard_normal(n).tolist()
+        uniforms = rng.random(n).tolist()
+        x, s, t = chain.x, chain.s, chain.t
+        for k, z, u in zip(sites, normals, uniforms):
+            old = float(x[k])
+            new = old + scale * z
+            s_new = s - old + new
+            t_new = t - old * old + new * new
+            if not t_new > 0.0:
+                continue
+            delta = (
+                s_new * s_new / (2.0 * t_new)
+                - t_new * inv_two_sigma_sq
+                - s * s / (2.0 * t)
+                + t * inv_two_sigma_sq
+            )
+            if delta >= 0.0 or u < math.exp(delta):
+                x[k] = new
+                s, t = s_new, t_new
+                chain.accepted += 1
+        chain.s, chain.t = s, t
+        chain.proposed += n
+        chain.sweeps_done += 1
+        if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
+            chain.resync_stats()
+        lag = i - cfg.burn_in_sweeps
+        if lag > 0 and lag % cfg.thin_sweeps == 0:
+            records.append(SampleRecord(i, chain.s, chain.t, chain.s / float(n) ** 0.75, chain.t / n))
+    return records
+
+
+def assert_same_chain(a, b):
+    """Bit-for-bit equality of configuration, cached stats and counters."""
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (a.s.hex(), a.t.hex()) == (b.s.hex(), b.t.hex())
+    assert (a.accepted, a.proposed, a.sweeps_done) == (b.accepted, b.proposed, b.sweeps_done)
+    # Philox state: counter, key, output buffer and position, buffered uint32
+    assert repr(a.rng.bit_generator.state) == repr(b.rng.bit_generator.state)
+
+
+class TestRunMatchesPythonOracle:
+    # repr distinguishes every float bit pattern (and -0.0) and would show
+    # numpy scalars, which the CSV writer must not receive
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 257])
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_bit_identical(self, n, sigma):
+        cfg = SamplerConfig(proposal_scale=1.7, burn_in_sweeps=7, thin_sweeps=3, seed=2718)
+        params = ModelParams(n, sigma)
+        compiled, reference = init_chain(params, cfg, chain_id=1), init_chain(params, cfg, chain_id=1)
+        records = run(compiled, 40)
+        assert repr(records) == repr(oracle_run(reference, 40))
+        assert len(records) == 11
+        assert_same_chain(compiled, reference)
+
+    def test_bit_identical_across_resync_boundary(self):
+        sweeps = RESYNC_EVERY_SWEEPS + 3
+        cfg = SamplerConfig(burn_in_sweeps=RESYNC_EVERY_SWEEPS - 5, thin_sweeps=2, seed=31)
+        params = ModelParams(3, 1.0)
+        compiled, reference = init_chain(params, cfg), init_chain(params, cfg)
+        records = run(compiled, sweeps)
+        assert repr(records) == repr(oracle_run(reference, sweeps))
+        assert [r.sweep for r in records] == list(range(RESYNC_EVERY_SWEEPS - 3, sweeps + 1, 2))
+        assert_same_chain(compiled, reference)
+
+    def test_single_sweep_calls_equal_one_call(self):
+        sweeps = RESYNC_EVERY_SWEEPS + 3
+        cfg = SamplerConfig(proposal_scale=0.9, burn_in_sweeps=0, thin_sweeps=1, seed=5)
+        params = ModelParams(3, 1.3)
+        stepped, whole = init_chain(params, cfg), init_chain(params, cfg)
+        singles = [run(stepped, 1) for _ in range(sweeps)]
+        records = run(whole, sweeps)
+        assert all(len(one) == 1 and one[0].sweep == 1 for one in singles)
+        assert repr([one[0][1:] for one in singles]) == repr([r[1:] for r in records])
+        assert_same_chain(stepped, whole)
 
 
 class TestChainInvariants:
