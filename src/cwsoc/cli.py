@@ -6,6 +6,10 @@ Flag values take precedence over an optional key=value config file
 default additionally honors the ``CWSOC_SEED`` environment variable.  Floats
 are serialized with their shortest round-trip representation, and chains are
 merged in chain-id order, so outputs are byte-reproducible.
+
+``simulate`` runs its chains side by side on threads of one process (the
+compiled sweep kernel releases the GIL); Ctrl-C stops it at once.
+``convergence`` runs one chain per n, one after another.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,8 +29,8 @@ import numpy as np
 from . import __version__
 from .limit_law import QuarticLaw
 from .model import DomainError, ModelParams
-from .samplers import SamplerConfig, chain_rng, init_chain, run
-from .verification import ks_statistic, run_suites
+from .samplers import SampleRecord, SamplerConfig, chain_rng, init_chain, run
+from .verification import TOL_OVERRIDES, ks_statistic, run_suites
 
 SAMPLES_HEADER = "chain,sweep,s,t,s_scaled,t_scaled"
 CONVERGENCE_HEADER = "n,ks,mean_t_scaled,sd_t_scaled,samples"
@@ -111,51 +115,80 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, sampler: dict, outputs: list[str]) -> None:
+def _sampler_settings(
+    args: argparse.Namespace, config: dict, sweeps_default: int, burn_in_default: int
+) -> tuple[float, int, SamplerConfig]:
+    """Sigma, sweeps per chain and chain settings of a sampling command."""
+    sigma = _resolve(args, config, "sigma", 1.0, float)
+    sweeps = _resolve(args, config, "sweeps", sweeps_default, int)
+    if sweeps < 0:
+        raise UsageError(f"--sweeps must be nonnegative, got {sweeps}")
+    cfg = SamplerConfig(
+        proposal_scale=_resolve(args, config, "proposal_scale", SamplerConfig.proposal_scale, float),
+        burn_in_sweeps=_resolve(args, config, "burn_in", burn_in_default, int),
+        thin_sweeps=_resolve(args, config, "thin", SamplerConfig.thin_sweeps, int),
+        seed=_resolve_seed(args, config),
+    )
+    return sigma, sweeps, cfg
+
+
+def _write_manifest(
+    out_dir: Path, command: str, params: dict, sweeps: int, cfg: SamplerConfig, output: str,
+    chains: int | None = None,
+) -> None:
+    """manifest.json of a sampling command; `command` holds its name and own flags."""
+    sampler = {**asdict(cfg), "sweeps": sweeps}
+    chains_flag = ""
+    if chains is not None:
+        sampler["chains"] = chains
+        chains_flag = f" --chains {chains}"
     manifest = RunManifest(
-        command=command,
+        command=(
+            f"{command} --sigma {_fmt(params['sigma'])} --sweeps {sweeps} --burn-in {cfg.burn_in_sweeps} "
+            f"--thin {cfg.thin_sweeps}{chains_flag} --seed {cfg.seed} --proposal-scale {_fmt(cfg.proposal_scale)}"
+        ),
         params=params,
         sampler=sampler,
         timestamp=datetime.now(timezone.utc).isoformat(),
         code_version=__version__,
-        output_paths=outputs,
+        output_paths=[output],
     )
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
-def _simulate_worker(job: tuple[ModelParams, SamplerConfig, int, int]):
-    params, cfg, chain_id, sweeps = job
-    chain = init_chain(params, cfg, chain_id)
-    records = run(chain, sweeps)
-    return chain_id, records
+def _run_chains(params: ModelParams, cfg: SamplerConfig, chains: int, sweeps: int) -> list[list[SampleRecord]]:
+    """Records of chains 0..chains-1 in chain-id order, run on up to one thread
+    per CPU (the kernel releases the GIL).  The threads are daemons, so Ctrl-C
+    ends the process without waiting for the chains."""
+    results: list = [None] * chains
+    errors: list[BaseException] = []
+    chain_ids = iter(range(chains))
 
+    def work() -> None:
+        try:
+            for chain_id in chain_ids:
+                results[chain_id] = run(init_chain(params, cfg, chain_id), sweeps)
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the calling thread
+            errors.append(exc)
 
-def _run_chains(params: ModelParams, cfg: SamplerConfig, chains: int, sweeps: int):
-    jobs = [(params, cfg, cid, sweeps) for cid in range(chains)]
-    if chains == 1:
-        return [_simulate_worker(jobs[0])]
-    with ProcessPoolExecutor(max_workers=min(chains, os.cpu_count() or 1)) as pool:
-        return list(pool.map(_simulate_worker, jobs))
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(min(chains, os.cpu_count() or 1))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     n = _resolve(args, config, "n", 64, int)
-    sigma = _resolve(args, config, "sigma", 1.0, float)
-    sweeps = _resolve(args, config, "sweeps", 1000, int)
-    burn_in = _resolve(args, config, "burn_in", 0, int)
-    thin = _resolve(args, config, "thin", 1, int)
     chains = _resolve(args, config, "chains", 1, int)
-    proposal_scale = _resolve(args, config, "proposal_scale", 2.38, float)
-    seed = _resolve_seed(args, config)
-    if sweeps < 0:
-        raise UsageError(f"--sweeps must be nonnegative, got {sweeps}")
     if chains < 1:
         raise UsageError(f"--chains must be positive, got {chains}")
-
+    sigma, sweeps, cfg = _sampler_settings(args, config, sweeps_default=1000, burn_in_default=0)
     params = ModelParams(n=n, sigma=sigma)
-    cfg = SamplerConfig(proposal_scale=proposal_scale, burn_in_sweeps=burn_in, thin_sweeps=thin, seed=seed)
     results = _run_chains(params, cfg, chains, sweeps)
 
     out_dir = Path(args.out)
@@ -163,30 +196,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     samples_path = out_dir / "samples.csv"
     with open(samples_path, "w", newline="") as fh:
         fh.write(SAMPLES_HEADER + "\n")
-        for chain_id, records in results:
+        for chain_id, records in enumerate(results):
             for rec in records:
                 fh.write(
                     f"{chain_id},{rec.sweep},{_fmt(rec.s)},{_fmt(rec.t)},"
                     f"{_fmt(rec.s_scaled)},{_fmt(rec.t_scaled)}\n"
                 )
-    command = (
-        f"simulate --n {n} --sigma {_fmt(sigma)} --sweeps {sweeps} --burn-in {burn_in} "
-        f"--thin {thin} --chains {chains} --seed {seed} --proposal-scale {_fmt(proposal_scale)}"
-    )
-    _write_manifest(
-        out_dir,
-        command,
-        params={"n": n, "sigma": sigma},
-        sampler={
-            "proposal_scale": proposal_scale,
-            "burn_in_sweeps": burn_in,
-            "thin_sweeps": thin,
-            "seed": seed,
-            "chains": chains,
-            "sweeps": sweeps,
-        },
-        outputs=[samples_path.name],
-    )
+    _write_manifest(out_dir, f"simulate --n {n}", asdict(params), sweeps, cfg, samples_path.name, chains)
     return 0
 
 
@@ -248,15 +264,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    sigma = _resolve(args, config, "sigma", 1.0, float)
-    sweeps = _resolve(args, config, "sweeps", 5000, int)
-    burn_in = _resolve(args, config, "burn_in", 500, int)
-    thin = _resolve(args, config, "thin", 1, int)
-    proposal_scale = _resolve(args, config, "proposal_scale", 2.38, float)
-    seed = _resolve_seed(args, config)
+    sigma, sweeps, cfg = _sampler_settings(args, config, sweeps_default=5000, burn_in_default=500)
     law = QuarticLaw(sigma)
-    cfg = SamplerConfig(proposal_scale=proposal_scale, burn_in_sweeps=burn_in, thin_sweeps=thin, seed=seed)
 
+    # serial, in --n-list order: row k comes from the k-th chain `run` returns
     rows = []
     for idx, n in enumerate(args.n_list):
         chain = init_chain(ModelParams(n=n, sigma=sigma), cfg, chain_id=idx)
@@ -275,24 +286,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         fh.write(CONVERGENCE_HEADER + "\n")
         for n, ks, mean_t, sd_t, count in rows:
             fh.write(f"{n},{_fmt(ks)},{_fmt(mean_t)},{_fmt(sd_t)},{count}\n")
-    command = (
-        f"convergence --n-list {','.join(str(n) for n in args.n_list)} --sigma {_fmt(sigma)} "
-        f"--sweeps {sweeps} --burn-in {burn_in} --thin {thin} --seed {seed} "
-        f"--proposal-scale {_fmt(proposal_scale)}"
-    )
-    _write_manifest(
-        out_dir,
-        command,
-        params={"n_list": args.n_list, "sigma": sigma},
-        sampler={
-            "proposal_scale": proposal_scale,
-            "burn_in_sweeps": burn_in,
-            "thin_sweeps": thin,
-            "seed": seed,
-            "sweeps": sweeps,
-        },
-        outputs=[csv_path.name],
-    )
+    command = f"convergence --n-list {','.join(str(n) for n in args.n_list)}"
+    _write_manifest(out_dir, command, {"n_list": args.n_list, "sigma": sigma}, sweeps, cfg, csv_path.name)
     return 0
 
 
@@ -343,17 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cwsoc {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sim = sub.add_parser("simulate", help="run Metropolis chains and write samples.csv")
+    # the flags of both sampling commands
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--sigma", type=float, default=None, help="base-measure standard deviation")
+    sampling.add_argument("--sweeps", type=int, default=None, help="sweeps per chain (one sweep = n steps)")
+    sampling.add_argument("--burn-in", dest="burn_in", type=int, default=None,
+                          help="sweeps discarded before recording")
+    sampling.add_argument("--thin", type=int, default=None, help="record every THIN-th sweep")
+    sampling.add_argument("--seed", type=int, default=None, help="base seed (default: CWSOC_SEED or 0)")
+    sampling.add_argument("--proposal-scale", dest="proposal_scale", type=float, default=None)
+    sampling.add_argument("--out", required=True, help="output directory")
+    sampling.add_argument("--config", default=None, help="key=value config file")
+
+    sim = sub.add_parser("simulate", parents=[sampling], help="run Metropolis chains and write samples.csv")
     sim.add_argument("--n", type=int, default=None, help="number of spins")
-    sim.add_argument("--sigma", type=float, default=None, help="base-measure standard deviation")
-    sim.add_argument("--sweeps", type=int, default=None, help="sweeps per chain (one sweep = n steps)")
-    sim.add_argument("--burn-in", dest="burn_in", type=int, default=None, help="sweeps discarded before recording")
-    sim.add_argument("--thin", type=int, default=None, help="record every THIN-th sweep")
-    sim.add_argument("--chains", type=int, default=None, help="parallel chains with disjoint streams")
-    sim.add_argument("--seed", type=int, default=None, help="base seed (default: CWSOC_SEED or 0)")
-    sim.add_argument("--proposal-scale", dest="proposal_scale", type=float, default=None)
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--config", default=None, help="key=value config file")
+    sim.add_argument("--chains", type=int, default=None,
+                     help="chains with disjoint streams, run side by side on threads of this process")
     sim.set_defaults(func=cmd_simulate)
 
     lim = sub.add_parser("limit", help="query the quartic limit law")
@@ -371,21 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=("complex", "density", "laplace", "all"), default="all")
     ver.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
     ver.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
-                     help="tolerance override (complex_quad_tol, inversion_tol, density_mass_tol, "
-                          "norm_cross_tol, ratio_tol_100, ratio_tol_400); may be repeated")
+                     help=f"tolerance override ({', '.join(TOL_OVERRIDES)}); may be repeated")
     ver.add_argument("--out", default=".", help="directory for report.json")
     ver.set_defaults(func=cmd_verify)
 
-    conv = sub.add_parser("convergence", help="KS distance to the limit law across n")
+    conv = sub.add_parser("convergence", parents=[sampling], help="KS distance to the limit law across n")
     conv.add_argument("--n-list", dest="n_list", type=_int_list, required=True)
-    conv.add_argument("--sigma", type=float, default=None)
-    conv.add_argument("--sweeps", type=int, default=None)
-    conv.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    conv.add_argument("--thin", type=int, default=None)
-    conv.add_argument("--seed", type=int, default=None)
-    conv.add_argument("--proposal-scale", dest="proposal_scale", type=float, default=None)
-    conv.add_argument("--out", required=True)
-    conv.add_argument("--config", default=None)
     conv.set_defaults(func=cmd_convergence)
 
     plot = sub.add_parser("plotdata", help="histogram table from a samples.csv")

@@ -9,13 +9,12 @@ functions used here against adaptive quadrature of the defining integrals.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincinv, gammaln
 
-from .model import DomainError
+from .model import DomainError, is_integer
 
 __all__ = [
     "normalizer",
@@ -28,11 +27,6 @@ def normalizer(sigma: float) -> float:
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
     return sigma / math.sqrt(2.0) * float(gamma(0.25))
-
-
-def _is_integer(value) -> bool:
-    """Any integral type (numpy integers included) except bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _quartic_from_gamma(g: float, negative: bool, sigma: float) -> float:
@@ -101,7 +95,7 @@ class QuarticLaw:
 
     def even_moment(self, m: int) -> float:
         """E[X^{2m}] = (4 sigma^4)^{m/2} Gamma((2m+1)/4) / Gamma(1/4)."""
-        if not (_is_integer(m) and m >= 1):
+        if not (is_integer(m) and m >= 1):
             raise DomainError(f"m must be a positive integer, got {m!r}")
         m = int(m)
         log_val = (
@@ -113,7 +107,7 @@ class QuarticLaw:
 
     def moment(self, k: int) -> float:
         """E[X^k]; exactly 0 for odd k by symmetry."""
-        if not (_is_integer(k) and k >= 0):
+        if not (is_integer(k) and k >= 0):
             raise DomainError(f"k must be a nonnegative integer, got {k!r}")
         k = int(k)
         if k == 0:

@@ -25,6 +25,7 @@ __all__ = [
     "SumStats",
     "ScalingExponents",
     "MIN_DENSITY_N",
+    "is_integer",
     "compensated_sum",
     "sum_stats",
     "interaction_energy",
@@ -53,6 +54,11 @@ class UnsupportedOrderError(DomainError):
     """The requested n is below the smallest order with a closed-form density."""
 
 
+def is_integer(value) -> bool:
+    """Any integral type (numpy integers included) except bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Number of spins and the standard deviation of the base Gaussian.
@@ -65,7 +71,7 @@ class ModelParams:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 1:
+        if not (is_integer(self.n) and self.n >= 1):
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         sigma = self.sigma

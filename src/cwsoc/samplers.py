@@ -23,13 +23,14 @@ through numpy's own C samplers: the stream is the one
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import DomainError, ModelParams, SumStats, sum_stats
+from .model import DomainError, ModelParams, SumStats, is_integer, sum_stats
 
 __all__ = [
     "SamplerConfig",
@@ -60,7 +61,8 @@ class SamplerConfig:
 
     The default proposal scale is the classic 2.38 random-walk heuristic (in
     units of sigma); there is no adaptive tuning.  Burn-in defaults are
-    empirical, not theory-backed.
+    empirical, not theory-backed.  Numpy scalars are accepted, bool is not;
+    the fields are stored as a Python float and Python ints.
     """
 
     proposal_scale: float = 2.38
@@ -69,14 +71,20 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.proposal_scale > 0.0:
-            raise DomainError(f"proposal_scale must be positive, got {self.proposal_scale!r}")
-        if self.burn_in_sweeps < 0:
-            raise DomainError(f"burn_in_sweeps must be nonnegative, got {self.burn_in_sweeps!r}")
-        if self.thin_sweeps < 1:
+        scale = self.proposal_scale
+        if not (
+            isinstance(scale, numbers.Real) and not isinstance(scale, bool) and math.isfinite(scale) and scale > 0
+        ):
+            raise DomainError(f"proposal_scale must be a positive finite real, got {scale!r}")
+        if not (is_integer(self.burn_in_sweeps) and self.burn_in_sweeps >= 0):
+            raise DomainError(f"burn_in_sweeps must be a nonnegative integer, got {self.burn_in_sweeps!r}")
+        if not (is_integer(self.thin_sweeps) and self.thin_sweeps >= 1):
             raise DomainError(f"thin_sweeps must be a positive integer, got {self.thin_sweeps!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
+            raise DomainError(f"seed must be an integer that fits in 64 unsigned bits, got {self.seed!r}")
+        object.__setattr__(self, "proposal_scale", float(scale))
+        for name in ("burn_in_sweeps", "thin_sweeps", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 class SampleRecord(NamedTuple):

@@ -55,6 +55,7 @@ __all__ = [
     "CheckReport",
     "run_suites",
     "SUITE_NAMES",
+    "TOL_OVERRIDES",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -823,13 +824,14 @@ def suite_laplace(
 
 SUITE_NAMES = ("complex", "density", "laplace")
 
-_TOL_KNOBS = {
-    "complex_quad_tol",
-    "inversion_tol",
-    "density_mass_tol",
-    "norm_cross_tol",
-    "ratio_tol_100",
-    "ratio_tol_400",
+# Each tolerance override: the suite it tunes and that suite's keyword for it.
+TOL_OVERRIDES = {
+    "complex_quad_tol": ("complex", "quad_tol"),
+    "inversion_tol": ("density", "inversion_tol"),
+    "density_mass_tol": ("density", "mass_tol"),
+    "norm_cross_tol": ("laplace", "cross_route_tol"),
+    "ratio_tol_100": ("laplace", "ratio_tol_100"),
+    "ratio_tol_400": ("laplace", "ratio_tol_400"),
 }
 
 
@@ -842,35 +844,28 @@ def run_suites(
     if isinstance(names, str):
         names = [names]
     tols = dict(tol_overrides or {})
-    unknown = set(tols) - _TOL_KNOBS
+    unknown = set(tols) - set(TOL_OVERRIDES)
     if unknown:
-        raise DomainError(f"unknown tolerance overrides: {sorted(unknown)}; known: {sorted(_TOL_KNOBS)}")
+        raise DomainError(f"unknown tolerance overrides: {sorted(unknown)}; known: {sorted(TOL_OVERRIDES)}")
     requested = list(names)
     if "all" in requested:
         requested = list(SUITE_NAMES)
     bad = [s for s in requested if s not in SUITE_NAMES]
     if bad:
         raise DomainError(f"unknown suites: {bad}; known: {list(SUITE_NAMES)} or 'all'")
+    kwargs: dict[str, dict] = {suite: {} for suite in SUITE_NAMES}
+    for name, value in tols.items():
+        suite, keyword = TOL_OVERRIDES[name]
+        kwargs[suite][keyword] = value
+    orders = tuple(m for m in n_list or () if m >= MIN_DENSITY_N)
+    if orders:
+        kwargs["density"]["n_values"] = orders
+        kwargs["laplace"]["n_norm_values"] = orders
     reports: list[CheckReport] = []
     if "complex" in requested:
-        reports.extend(suite_complex(quad_tol=tols.get("complex_quad_tol", 1e-8)))
+        reports.extend(suite_complex(**kwargs["complex"]))
     if "density" in requested:
-        density_ns = tuple(m for m in (n_list or (5, 6, 8)) if m >= MIN_DENSITY_N)
-        reports.extend(
-            suite_density(
-                n_values=density_ns or (5, 6, 8),
-                inversion_tol=tols.get("inversion_tol", 1e-3),
-                mass_tol=tols.get("density_mass_tol", 1e-6),
-            )
-        )
+        reports.extend(suite_density(**kwargs["density"]))
     if "laplace" in requested:
-        norm_ns = tuple(m for m in (n_list or tuple(range(5, 31))) if m >= MIN_DENSITY_N)
-        reports.extend(
-            suite_laplace(
-                n_norm_values=norm_ns or tuple(range(5, 31)),
-                cross_route_tol=tols.get("norm_cross_tol", 1e-6),
-                ratio_tol_100=tols.get("ratio_tol_100", 0.15),
-                ratio_tol_400=tols.get("ratio_tol_400", 0.08),
-            )
-        )
+        reports.extend(suite_laplace(**kwargs["laplace"]))
     return sorted(reports, key=lambda r: r.name)

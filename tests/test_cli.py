@@ -3,10 +3,17 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cwsoc
 from cwsoc.cli import main
 from cwsoc.limit_law import QuarticLaw
 
@@ -62,6 +69,55 @@ class TestSimulate:
         assert main(flags) == 0
         digest = hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest()
         assert digest == "7e70c7c8cb101ae602f8697847666d5f7f3e89b7c0df0c5f4d2603a5651712c5"
+
+    def test_manifest_command_and_sampler_pinned(self, tmp_path, monkeypatch):
+        # written by the CLI before simulate and convergence shared their settings code
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = 2.0\nsweeps = 37\nburn_in = 5\nthin = 3\nproposal_scale = 1.7\nchains = 3\nn = 10\n")
+        monkeypatch.setenv("CWSOC_SEED", "314")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        manifest = json.loads(read(tmp_path / "run" / "manifest.json"))
+        assert manifest["command"] == (
+            "simulate --n 10 --sigma 2.0 --sweeps 37 --burn-in 5 --thin 3 --chains 3 --seed 314 --proposal-scale 1.7"
+        )
+        assert manifest["sampler"] == {
+            "burn_in_sweeps": 5, "chains": 3, "proposal_scale": 1.7, "seed": 314, "sweeps": 37, "thin_sweeps": 3,
+        }
+        assert manifest["params"] == {"n": 10, "sigma": 2.0}
+
+    def test_ctrl_c_stops_a_long_run_at_once(self, tmp_path):
+        # each chain needs well over 30 s; the run must not wait for them after SIGINT
+        script = (
+            "import sys, cwsoc.cli as cli\n"
+            "inner = cli.run\n"
+            "def run(chain, sweeps):\n"
+            "    sys.stdout.write('sampling\\n')\n"
+            "    sys.stdout.flush()\n"
+            "    return inner(chain, sweeps)\n"
+            "cli.run = run\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        sweeps = "3000000"
+        src = str(Path(cwsoc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "simulate", "--n", "256", "--sweeps", sweeps, "--burn-in", sweeps,
+             "--chains", "2", "--out", str(tmp_path / "run")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, start_new_session=True,
+        )
+        try:
+            # both chain threads write it, so their lines may run together
+            assert proc.stdout.readline().startswith("sampling")
+            time.sleep(0.5)
+            assert proc.poll() is None
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=10)
+            assert proc.returncode != 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            proc.stdout.close()
 
     def test_invalid_flag_exits_2(self, tmp_path):
         assert main(["simulate", "--n", "not-a-number", "--out", str(tmp_path)]) == 2
@@ -165,7 +221,8 @@ class TestConvergence:
         assert 0.0 < float(ks) < 1.0
         assert int(samples) == 200
 
-    def test_requested_counts_and_manifest(self, tmp_path):
+    def test_requested_counts_and_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CWSOC_SEED", raising=False)
         out = tmp_path / "conv"
         assert main([
             "convergence", "--n-list", "8,16", "--sweeps", "220", "--burn-in", "20",
@@ -173,7 +230,15 @@ class TestConvergence:
         ]) == 0
         rows = read(out / "convergence.csv").splitlines()[1:]
         assert [int(r.split(",")[-1]) for r in rows] == [100, 100]
-        assert (out / "manifest.json").exists()
+        manifest = json.loads(read(out / "manifest.json"))
+        # written by the CLI before simulate and convergence shared their settings code
+        assert manifest["command"] == (
+            "convergence --n-list 8,16 --sigma 1.0 --sweeps 220 --burn-in 20 --thin 2 --seed 0 --proposal-scale 2.38"
+        )
+        assert manifest["sampler"] == {
+            "burn_in_sweeps": 20, "proposal_scale": 2.38, "seed": 0, "sweeps": 220, "thin_sweeps": 2,
+        }
+        assert manifest["params"] == {"n_list": [8, 16], "sigma": 1.0}
 
     def test_ks_shrinks_from_n32_to_n256_on_fixed_seed(self, tmp_path):
         # empirical convergence trend; deterministic given the frozen seed

@@ -3,8 +3,10 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cwsoc
@@ -71,6 +73,37 @@ class TestCache:
         (built,) = library_files(cache)  # no temporary files left behind
         assert built.endswith(".so")
 
+    def test_simultaneous_builds_on_threads_of_one_process(self, tmp_path, monkeypatch):
+        # what a cold `simulate --chains 2` does: both chain threads find no library
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(_native, "CACHE_DIR", cache)
+        monkeypatch.setattr(_native, "_lib", None)
+        start = threading.Barrier(2)
+        libs = []
+
+        def load():
+            start.wait()
+            libs.append(_native.kernel())
+
+        threads = [threading.Thread(target=load) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert len(libs) == 2
+        for lib in libs:
+            # one identity proposal (normal 0) on x = (1, 2): always accepted
+            x, st = np.array([1.0, 2.0]), np.array([3.0, 5.0])
+            site, normal, uniform = np.array([0], dtype=np.int64), np.zeros(1), np.array([0.5])
+            accepted = lib.cw_metropolis(
+                x.ctypes.data, st.ctypes.data, site.ctypes.data, normal.ctypes.data, uniform.ctypes.data,
+                1, 2.0, 0.5,
+            )
+            assert accepted == 1 and x.tolist() == [1.0, 2.0] and st.tolist() == [3.0, 5.0]
+        (built,) = library_files(cache)  # no temporary files left behind
+        assert built.endswith(".so")
+
     def test_importing_the_cli_leaves_the_kernel_unloaded(self):
         code = "import sys, cwsoc.cli, cwsoc.verification; print('cwsoc._native' in sys.modules)"
         assert finish(python("-c", code)) == "False\n"
@@ -101,6 +134,8 @@ class TestBuildFailure:
         with pytest.raises(_native.KernelBuildError, match="no-such-cc"):
             _native.kernel()
 
-    def test_simulate_exits_1_with_compiler_message(self, tmp_path, capsys, failing_compiler):
-        assert main(["simulate", "--n", "8", "--sweeps", "5", "--out", str(tmp_path / "run")]) == 1
+    @pytest.mark.parametrize("chains", ["1", "2"])
+    def test_simulate_exits_1_with_compiler_message(self, tmp_path, capsys, failing_compiler, chains):
+        argv = ["simulate", "--n", "8", "--sweeps", "5", "--chains", chains, "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
         assert "fake-cc: out of order" in capsys.readouterr().err

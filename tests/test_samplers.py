@@ -54,6 +54,28 @@ def scripted_chain(x, sigma, proposal_scale, sites, normals, uniforms):
     )
 
 
+class TestSamplerConfig:
+    def test_numpy_scalars_accepted_and_stored_as_python_types(self):
+        cfg = SamplerConfig(proposal_scale=np.float32(1.5), burn_in_sweeps=np.int64(3),
+                            thin_sweeps=np.int32(2), seed=np.int64(7))
+        assert (cfg.proposal_scale, cfg.burn_in_sweeps, cfg.thin_sweeps, cfg.seed) == (1.5, 3, 2, 7)
+        assert [type(v) for v in (cfg.proposal_scale, cfg.burn_in_sweeps, cfg.thin_sweeps, cfg.seed)] == [
+            float, int, int, int,
+        ]
+        assert SamplerConfig(proposal_scale=2).proposal_scale == 2.0
+
+    @pytest.mark.parametrize("field, bad", [
+        ("thin_sweeps", 2.5), ("thin_sweeps", 0), ("thin_sweeps", True),
+        ("burn_in_sweeps", 1.5), ("burn_in_sweeps", True), ("burn_in_sweeps", -1),
+        ("seed", 3.7), ("seed", True), ("seed", -1), ("seed", 2**64), ("seed", "3"),
+        ("proposal_scale", True), ("proposal_scale", 0.0), ("proposal_scale", math.inf),
+        ("proposal_scale", math.nan), ("proposal_scale", "2.38"),
+    ])
+    def test_invalid_field_rejected(self, field, bad):
+        with pytest.raises(DomainError, match=field):
+            SamplerConfig(**{field: bad})
+
+
 class TestInitChain:
     def test_deterministic_given_seed(self):
         params, cfg = ModelParams(50, 1.5), SamplerConfig(seed=123)
