@@ -11,6 +11,8 @@ Design notes
   outer axis and composite Gauss-Legendre panels (sized by a phase budget) on
   the inner axis; the inner truncation radius comes from the explicit modulus
   bound |Phi_n(u, v)| = exp(-n u^2 / (2(1+4v^2))) * (1+4v^2)^{-n/4}.
+  Phi_n(u, -v) = conj Phi_n(u, v), so only the v >= 0 half is integrated and
+  the inverted density has no imaginary part to report.
 * The principal complex logarithm is implemented with the half-angle
   arctangent formula and that form is the source of truth; the test suite
   cross-checks it against a two-argument arctangent.
@@ -225,10 +227,12 @@ def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6, q: float = 7.5
     The characteristic function is integrable only for n >= 5.  The outer
     (oscillatory) axis is handled as an infinite Fourier transform with net
     frequency |y - x^2/n| after factoring the known linear phase x^2 v / n out
-    of the inner integral; positive- and negative-v halves are integrated
-    separately, so the imaginary residue is a genuine numerical diagnostic.
-    Raises InversionAccuracyError if the accumulated error bound exceeds tol,
-    before any quadrature when the truncation term alone does.
+    of the inner integral.  Phi_n(u, -v) = conj Phi_n(u, v), so the v < 0 half
+    of the outer integrand is the conjugate of the v > 0 half: only v >= 0 is
+    integrated, the imaginary parts cancel exactly and imag_residue is 0.0 by
+    construction.  Raises InversionAccuracyError if the accumulated error
+    bound exceeds tol, before any quadrature when the truncation term alone
+    does.
     """
     if n < MIN_DENSITY_N:
         raise UnsupportedOrderError(f"characteristic function not integrable for n={n} < {MIN_DENSITY_N}")
@@ -247,57 +251,36 @@ def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6, q: float = 7.5
     c = x * x / n
     w = y - c
 
-    cache_pos: dict[float, complex] = {}
-    cache_neg: dict[float, complex] = {}
+    cache: dict[float, complex] = {}
 
-    def h_pos(v: float) -> complex:
-        got = cache_pos.get(v)
+    def h(v: float) -> complex:
+        got = cache.get(v)
         if got is None:
             got = cmath.exp(complex(0.0, -c * v)) * _inner_cos_integral(x, v, n, q)
-            cache_pos[v] = got
+            cache[v] = got
         return got
 
-    def h_neg(v: float) -> complex:
-        got = cache_neg.get(v)
-        if got is None:
-            got = cmath.exp(complex(0.0, c * v)) * _inner_cos_integral(x, -v, n, q)
-            cache_neg[v] = got
-        return got
-
+    # The v < 0 half doubles Re h against cos(wv) and Im h against sin(wv),
+    # and cancels the other two products.  QUADPACK's subdivision, and with
+    # it every bit of the value, depends on epsabs = tol / 12.
     eps_component = tol / 12.0
-    err_total = 0.0
     if w == 0.0:
         # No oscillation left once the linear phase is removed; plain quadrature.
-        parts = []
-        for h in (h_pos, h_neg):
-            for comp in (lambda v, h=h: h(v).real, lambda v, h=h: h(v).imag):
-                val, err = quad(comp, 0.0, np.inf, epsabs=eps_component, limit=300, full_output=1)[:2]
-                parts.append(val)
-                err_total += err
-        total = complex(parts[0] + parts[2], parts[1] + parts[3])
+        val, err = quad(lambda v: h(v).real, 0.0, np.inf, epsabs=eps_component, limit=300, full_output=1)[:2]
+        total = val + val
     else:
-        omega = abs(w)
-        cos_pos_re, e1 = _qawf(lambda v: h_pos(v).real, omega, "cos", eps_component)
-        cos_pos_im, e2 = _qawf(lambda v: h_pos(v).imag, omega, "cos", eps_component)
-        cos_neg_re, e3 = _qawf(lambda v: h_neg(v).real, omega, "cos", eps_component)
-        cos_neg_im, e4 = _qawf(lambda v: h_neg(v).imag, omega, "cos", eps_component)
-        sin_pos_re, e5 = _qawf(lambda v: h_pos(v).real, omega, "sin", eps_component)
-        sin_pos_im, e6 = _qawf(lambda v: h_pos(v).imag, omega, "sin", eps_component)
-        sin_neg_re, e7 = _qawf(lambda v: h_neg(v).real, omega, "sin", eps_component)
-        sin_neg_im, e8 = _qawf(lambda v: h_neg(v).imag, omega, "sin", eps_component)
-        err_total = e1 + e2 + e3 + e4 + e5 + e6 + e7 + e8
-        cos_part = complex(cos_pos_re + cos_neg_re, cos_pos_im + cos_neg_im)
-        sin_part = complex(sin_pos_re - sin_neg_re, sin_pos_im - sin_neg_im)
-        total = cos_part - 1j * math.copysign(1.0, w) * sin_part
+        cos_re, e_cos = _qawf(lambda v: h(v).real, abs(w), "cos", eps_component)
+        sin_im, e_sin = _qawf(lambda v: h(v).imag, abs(w), "sin", eps_component)
+        total = (cos_re + cos_re) + math.copysign(1.0, w) * (sin_im + sin_im)
+        err = e_cos + e_sin
 
-    error_bound = inv_four_pi_sq * err_total + truncation
+    error_bound = inv_four_pi_sq * 2.0 * err + truncation
     if error_bound > tol:
         raise InversionAccuracyError(
             f"inversion at (x={x!r}, y={y!r}, n={n}) reached error bound "
             f"{error_bound:.3e} > tol {tol:.3e}"
         )
-    total *= inv_four_pi_sq
-    return InversionResult(total.real, abs(total.imag), error_bound)
+    return InversionResult(total * inv_four_pi_sq, 0.0, error_bound)
 
 
 def density_by_inversion(x: float, y: float, n: int, tol: float = 1e-6) -> float:
@@ -855,6 +838,8 @@ def run_suites(
         raise DomainError(f"unknown suites: {bad}; known: {list(SUITE_NAMES)} or 'all'")
     kwargs: dict[str, dict] = {suite: {} for suite in SUITE_NAMES}
     for name, value in tols.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"tolerance override {name} must be finite and positive, got {value!r}")
         suite, keyword = TOL_OVERRIDES[name]
         kwargs[suite][keyword] = value
     orders = tuple(m for m in n_list or () if m >= MIN_DENSITY_N)

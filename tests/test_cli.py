@@ -197,6 +197,14 @@ class TestVerify:
         assert main(["verify", "--suite", "complex", "--tol", "garbage", "--out", str(tmp_path)]) == 2
         assert main(["verify", "--suite", "complex", "--tol", "nope=1e-3", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("name, suite", [("complex_quad_tol", "complex"), ("inversion_tol", "density")])
+    def test_meaningless_tol_value_exits_2_without_report(self, tmp_path, capsys, name, suite, value):
+        out = tmp_path / "verify"
+        assert main(["verify", "--suite", suite, "--tol", f"{name}={value}", "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_tol_override_applies(self, tmp_path):
         # an absurdly tight oracle tolerance must flip checks to FAIL -> exit 1
         code = main(["verify", "--suite", "complex", "--tol", "complex_quad_tol=1e-18",

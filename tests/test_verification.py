@@ -1,6 +1,7 @@
 """Tests for the complex-analytic checks, Fourier inversion and Laplace analysis."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from cwsoc.verification import (
     psi_quadratic_lower_bound_margin,
     run_suites,
 )
+from cwsoc.verification import _TWO_PI, _inner_cos_integral, _qawf
 
 off_cut_complex = st.builds(
     complex,
@@ -208,6 +210,82 @@ class TestInversion:
             invert_char_fn(0.0, 5.0, 5, tol=1e-18)
 
 
+def oracle_inversion(x, y, n, tol, q=7.5):
+    """Reference Fourier inversion that integrates both halves of the v axis.
+
+    h_neg is built from _inner_cos_integral at -v, not from the conjugate of
+    h_pos, and the eight QAWF passes (four plain quad passes when y == x^2/n)
+    are summed as complex numbers.  Returns the complex density, whose
+    imaginary part the conjugate symmetry makes zero.  Argument checks and
+    the error bound are left out: they do not touch the value.
+    """
+    c = x * x / n
+    w = y - c
+
+    @functools.cache
+    def h_pos(v):
+        return cmath.exp(complex(0.0, -c * v)) * _inner_cos_integral(x, v, n, q)
+
+    @functools.cache
+    def h_neg(v):
+        return cmath.exp(complex(0.0, c * v)) * _inner_cos_integral(x, -v, n, q)
+
+    eps_component = tol / 12.0
+    if w == 0.0:
+        parts = []
+        for h in (h_pos, h_neg):
+            for comp in (lambda v, h=h: h(v).real, lambda v, h=h: h(v).imag):
+                parts.append(quad(comp, 0.0, np.inf, epsabs=eps_component, limit=300, full_output=1)[0])
+        total = complex(parts[0] + parts[2], parts[1] + parts[3])
+    else:
+        omega = abs(w)
+        cos_pos_re = _qawf(lambda v: h_pos(v).real, omega, "cos", eps_component)[0]
+        cos_pos_im = _qawf(lambda v: h_pos(v).imag, omega, "cos", eps_component)[0]
+        cos_neg_re = _qawf(lambda v: h_neg(v).real, omega, "cos", eps_component)[0]
+        cos_neg_im = _qawf(lambda v: h_neg(v).imag, omega, "cos", eps_component)[0]
+        sin_pos_re = _qawf(lambda v: h_pos(v).real, omega, "sin", eps_component)[0]
+        sin_pos_im = _qawf(lambda v: h_pos(v).imag, omega, "sin", eps_component)[0]
+        sin_neg_re = _qawf(lambda v: h_neg(v).real, omega, "sin", eps_component)[0]
+        sin_neg_im = _qawf(lambda v: h_neg(v).imag, omega, "sin", eps_component)[0]
+        cos_part = complex(cos_pos_re + cos_neg_re, cos_pos_im + cos_neg_im)
+        sin_part = complex(sin_pos_re - sin_neg_re, sin_pos_im - sin_neg_im)
+        total = cos_part - 1j * math.copysign(1.0, w) * sin_part
+    total *= 1.0 / (_TWO_PI * _TWO_PI)
+    return total
+
+
+class TestInversionMatchesTwoHalfOracle:
+    @pytest.mark.parametrize(
+        "x, y, n",
+        [
+            (*inversion_probe_points(5)[1], 5),
+            (*inversion_probe_points(5)[8], 5),
+            (*inversion_probe_points(8)[3], 8),
+            (*inversion_probe_points(8)[11], 8),
+            (1.5 * math.sqrt(5 * 4.0), 4.0, 5),  # outside the support
+            (3.0, 3.0 * 3.0 / 5, 5),  # on the support boundary: y == x^2/n, no oscillation left
+        ],
+    )
+    def test_value_bit_equal_and_oracle_imaginary_part_zero(self, x, y, n):
+        res = invert_char_fn(x, y, n, tol=1e-4)
+        reference = oracle_inversion(x, y, n, tol=1e-4)
+        assert res.value.hex() == reference.real.hex()
+        assert reference.imag == 0.0
+        assert res.imag_residue == 0.0
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 16])
+    def test_negative_v_is_conjugate_mirror(self, n):
+        for x in (0.0, 0.37, 2.9, 11.0):
+            for v in np.concatenate([np.geomspace(1e-4, 1e3, 15), [0.5, 2.0, 37.25]]).tolist():
+                direct = _inner_cos_integral(x, v, n, 7.5)
+                mirrored = _inner_cos_integral(x, -v, n, 7.5)
+                assert mirrored == direct.conjugate(), (x, v)
+                c = x * x / n
+                h_pos = cmath.exp(complex(0.0, -c * v)) * direct
+                h_neg = cmath.exp(complex(0.0, c * v)) * mirrored
+                assert h_neg == h_pos.conjugate(), (x, v)
+
+
 class TestNormalization:
     def test_identity_between_constants_holds_by_construction(self):
         from scipy.special import gammaln
@@ -364,6 +442,11 @@ class TestSuites:
     def test_unknown_tolerance_knob_rejected(self):
         with pytest.raises(DomainError):
             run_suites(["complex"], tol_overrides={"nope": 1.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_meaningless_tolerance_value_rejected(self, value):
+        with pytest.raises(DomainError, match="ratio_tol_400"):
+            run_suites(["laplace"], tol_overrides={"ratio_tol_400": value})
 
     def test_laplace_suite_respects_n_list(self):
         reports = run_suites(["laplace"], n_list=[5, 6])
