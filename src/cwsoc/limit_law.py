@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincinv, gammaln
 
-from .model import DomainError, is_integer
+from .model import DomainError, is_integer, positive_real
 
 __all__ = [
     "normalizer",
@@ -24,27 +24,22 @@ __all__ = [
 
 def normalizer(sigma: float) -> float:
     """Total mass of exp(-x^4/(4 sigma^4)) dx, i.e. (sigma/sqrt(2)) * Gamma(1/4)."""
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    return sigma / math.sqrt(2.0) * float(gamma(0.25))
-
-
-def _quartic_from_gamma(g: float, negative: bool, sigma: float) -> float:
-    """Map a Gamma(1/4, 1) variate and a sign to a quartic-law variate."""
-    magnitude = (4.0 * sigma**4 * g) ** 0.25
-    return -magnitude if negative else magnitude
+    return positive_real(sigma, "sigma") / math.sqrt(2.0) * float(gamma(0.25))
 
 
 @dataclass(frozen=True)
 class QuarticLaw:
-    """The distribution with density exp(-x^4/(4 sigma^4)) / ((sigma/sqrt 2) Gamma(1/4))."""
+    """The distribution with density exp(-x^4/(4 sigma^4)) / ((sigma/sqrt 2) Gamma(1/4)).
+
+    sigma may be any real type except bool (numpy scalars included); it is
+    stored as a Python float.
+    """
 
     sigma: float = 1.0
     log_normalizer: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"sigma must be a positive finite real, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", positive_real(self.sigma, "sigma"))
         object.__setattr__(
             self,
             "log_normalizer",
@@ -83,15 +78,15 @@ class QuarticLaw:
         """Exact draws: X = +/- (4 sigma^4 G)^{1/4}, G ~ Gamma(1/4, 1), sign fair.
 
         Consumes the generator in a fixed order (gamma block, then sign block)
-        so that draws are reproducible given the generator state.
+        so that draws are reproducible given the generator state; size=None
+        draws one variate as size=1 does and returns it as a scalar.
         """
-        if size is None:
-            g = rng.gamma(0.25)
-            return _quartic_from_gamma(g, rng.random() < 0.5, self.sigma)
         g = rng.gamma(0.25, size=size)
         negative = rng.random(size) < 0.5
-        magnitude = (4.0 * self.sigma**4 * g) ** 0.25
-        return np.where(negative, -magnitude, magnitude)
+        # np.power takes a scalar g through the same loop as an array; Python's
+        # float ** can round differently.
+        magnitude = np.power(4.0 * self.sigma**4 * g, 0.25)
+        return np.where(negative, -magnitude, magnitude)[()]
 
     def even_moment(self, m: int) -> float:
         """E[X^{2m}] = (4 sigma^4)^{m/2} Gamma((2m+1)/4) / Gamma(1/4)."""

@@ -26,6 +26,7 @@ __all__ = [
     "ScalingExponents",
     "MIN_DENSITY_N",
     "is_integer",
+    "positive_real",
     "compensated_sum",
     "sum_stats",
     "interaction_energy",
@@ -59,6 +60,14 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def positive_real(value, name: str) -> float:
+    """value as a Python float if it is a finite positive real of any real type
+    (numpy scalars included) except bool; DomainError naming it otherwise."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be a positive finite real, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Number of spins and the standard deviation of the base Gaussian.
@@ -74,12 +83,7 @@ class ModelParams:
         if not (is_integer(self.n) and self.n >= 1):
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        sigma = self.sigma
-        if not (
-            isinstance(sigma, numbers.Real) and not isinstance(sigma, bool) and math.isfinite(sigma) and sigma > 0
-        ):
-            raise DomainError(f"sigma must be a positive finite real, got {sigma!r}")
-        object.__setattr__(self, "sigma", float(sigma))
+        object.__setattr__(self, "sigma", positive_real(self.sigma, "sigma"))
 
 
 class SumStats(NamedTuple):

@@ -23,14 +23,13 @@ through numpy's own C samplers: the stream is the one
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import DomainError, ModelParams, SumStats, is_integer, sum_stats
+from .model import DomainError, ModelParams, SumStats, is_integer, positive_real, sum_stats
 
 __all__ = [
     "SamplerConfig",
@@ -71,18 +70,13 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        scale = self.proposal_scale
-        if not (
-            isinstance(scale, numbers.Real) and not isinstance(scale, bool) and math.isfinite(scale) and scale > 0
-        ):
-            raise DomainError(f"proposal_scale must be a positive finite real, got {scale!r}")
+        object.__setattr__(self, "proposal_scale", positive_real(self.proposal_scale, "proposal_scale"))
         if not (is_integer(self.burn_in_sweeps) and self.burn_in_sweeps >= 0):
             raise DomainError(f"burn_in_sweeps must be a nonnegative integer, got {self.burn_in_sweeps!r}")
         if not (is_integer(self.thin_sweeps) and self.thin_sweeps >= 1):
             raise DomainError(f"thin_sweeps must be a positive integer, got {self.thin_sweeps!r}")
         if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be an integer that fits in 64 unsigned bits, got {self.seed!r}")
-        object.__setattr__(self, "proposal_scale", float(scale))
         for name in ("burn_in_sweeps", "thin_sweeps", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
@@ -111,10 +105,6 @@ class ChainState:
     accepted: int = 0
     proposed: int = 0
     sweeps_done: int = 0
-
-    @property
-    def stats(self) -> SumStats:
-        return SumStats(self.s, self.t)
 
     def resync_stats(self) -> None:
         """Recompute (s, t) from the configuration to shed incremental drift."""
@@ -266,15 +256,12 @@ def acceptance_rate(chain: ChainState) -> float:
     return chain.accepted / chain.proposed
 
 
-def sample_nu_star(params: ModelParams, rng: np.random.Generator) -> SumStats:
-    """One exact draw of (s, t) from the untilted law: s = sum Z_i, t = sum Z_i^2."""
-    z = params.sigma * rng.standard_normal(params.n)
-    return SumStats(float(z.sum()), float((z * z).sum()))
+def sample_nu_star(params: ModelParams, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """size exact draws of (s, t) from the untilted law, s = sum Z_i and
+    t = sum Z_i^2 over n iid N(0, sigma^2) spins; returns the arrays (s, t).
 
-
-def _sample_nu_star_block(params: ModelParams, rng: np.random.Generator, m: int):
-    """m exact untilted draws of (s, t), vectorized; returns (s_arr, t_arr)."""
-    z = params.sigma * rng.standard_normal((m, params.n))
+    Draw k takes the normals k*n .. (k+1)*n - 1 of the stream."""
+    z = params.sigma * rng.standard_normal((size, params.n))
     return z.sum(axis=1), (z * z).sum(axis=1)
 
 
@@ -310,7 +297,7 @@ def importance_estimate(
     done = 0
     while done < draws:
         m = min(block, draws - done)
-        s_arr, t_arr = _sample_nu_star_block(params, rng, m)
+        s_arr, t_arr = sample_nu_star(params, rng, m)
         log_w[done : done + m] = s_arr**2 / (2.0 * t_arr)
         f_vals[done : done + m] = [f(SumStats(s, t)) for s, t in zip(s_arr, t_arr)]
         done += m

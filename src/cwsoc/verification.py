@@ -21,13 +21,14 @@ Design notes
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import dblquad, quad
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from .limit_law import normalizer
 from .model import DomainError, UnsupportedOrderError, MIN_DENSITY_N, psi, psi_unchecked
@@ -40,7 +41,6 @@ __all__ = [
     "char_fn",
     "density_closed_form",
     "log_density_closed_form",
-    "density_by_inversion",
     "invert_char_fn",
     "InversionResult",
     "InversionAccuracyError",
@@ -113,22 +113,17 @@ def gamma_law_cf(u: float, shape: float, scale: float) -> complex:
     return complex_pow(complex(1.0, -scale * u), -shape)
 
 
-def char_fn(u: float, v: float, n: int) -> complex:
+def char_fn(u, v: float, n: int):
     """Joint characteristic function of the n-fold untilted (s, t) law at sigma = 1.
 
     exp(-(n/2) (u^2 / (1 - 2iv) + Log(1 - 2iv))); its modulus is
-    exp(-n u^2 / (2(1+4v^2))) * (1+4v^2)^{-n/4}.
+    exp(-n u^2 / (2(1+4v^2))) * (1+4v^2)^{-n/4}.  Elementwise in u: a complex
+    array for an array of u, a Python complex for a scalar, with the same bits.
     """
     z = complex(1.0, -2.0 * v)
-    return cmath.exp(-0.5 * n * (u * u / z + principal_log(z)))
-
-
-def _char_fn_u_array(u: np.ndarray, v: float, n: int) -> np.ndarray:
-    """char_fn on an array of u at fixed v (hot path of the inversion quadrature)."""
-    z = complex(1.0, -2.0 * v)
-    c0 = -0.5 * n * principal_log(z)
-    c1 = -0.5 * n / z
-    return np.exp(c1 * u * u + c0)
+    u = np.asarray(u, dtype=float)
+    phi = np.exp(-0.5 * n / z * u * u + -0.5 * n * principal_log(z))
+    return complex(phi) if phi.ndim == 0 else phi
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +137,13 @@ def log_density_closed_form(x: float, y: float, n: int) -> float:
     gap = y - x * x / n
     if gap <= 0.0:
         return -math.inf
-    return (
-        -0.5 * y
-        + 0.5 * (n - 3) * math.log(gap)
-        - 0.5 * (n * math.log(2.0) + math.log(math.pi * n))
-        - float(gammaln(0.5 * (n - 1)))
-    )
+    return _minus_log_untilted_normalizer(-0.5 * y + 0.5 * (n - 3) * math.log(gap), n)
+
+
+def _minus_log_untilted_normalizer(log_value: float, n: int) -> float:
+    """log_value - log(sqrt(2^n pi n) Gamma((n-1)/2)): divides by the normalizer
+    of the untilted (s, t) density at sigma = 1, in log space."""
+    return log_value - 0.5 * (n * math.log(2.0) + math.log(math.pi * n)) - float(gammaln(0.5 * (n - 1)))
 
 
 def density_closed_form(x: float, y: float, n: int) -> float:
@@ -162,19 +158,12 @@ class InversionAccuracyError(RuntimeError):
 
 class InversionResult(NamedTuple):
     value: float
-    imag_residue: float
     error_bound: float
 
 
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _gl_cache.get(m)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(m)
-        _gl_cache[m] = got
-    return got
+    return np.polynomial.legendre.leggauss(m)
 
 
 def _inner_cos_integral(x: float, v: float, n: int, q: float) -> complex:
@@ -194,8 +183,8 @@ def _inner_cos_integral(x: float, v: float, n: int, q: float) -> complex:
     mids = edges[:-1] + half_widths
     u = (mids[:, None] + half_widths[:, None] * ref_nodes[None, :]).ravel()
     weights = (half_widths[:, None] * ref_weights[None, :]).ravel()
-    f = np.cos(x * u) * _char_fn_u_array(u, v, n)
-    return 2.0 * complex(np.dot(weights, f))
+    f = np.cos(x * u) * char_fn(u, v, n)
+    return 2.0 * complex((weights * f).sum())
 
 
 def _abs_cf_v_integral(n: int) -> float:
@@ -229,10 +218,11 @@ def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6, q: float = 7.5
     frequency |y - x^2/n| after factoring the known linear phase x^2 v / n out
     of the inner integral.  Phi_n(u, -v) = conj Phi_n(u, v), so the v < 0 half
     of the outer integrand is the conjugate of the v > 0 half: only v >= 0 is
-    integrated, the imaginary parts cancel exactly and imag_residue is 0.0 by
-    construction.  Raises InversionAccuracyError if the accumulated error
-    bound exceeds tol, before any quadrature when the truncation term alone
-    does.
+    integrated and the imaginary parts cancel exactly; the report's
+    density/inversion_conjugate_mirror checks that the inner integral keeps
+    this symmetry bit for bit.  Raises InversionAccuracyError if the
+    accumulated error bound exceeds tol, before any quadrature when the
+    truncation term alone does.
     """
     if n < MIN_DENSITY_N:
         raise UnsupportedOrderError(f"characteristic function not integrable for n={n} < {MIN_DENSITY_N}")
@@ -280,12 +270,7 @@ def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6, q: float = 7.5
             f"inversion at (x={x!r}, y={y!r}, n={n}) reached error bound "
             f"{error_bound:.3e} > tol {tol:.3e}"
         )
-    return InversionResult(total * inv_four_pi_sq, 0.0, error_bound)
-
-
-def density_by_inversion(x: float, y: float, n: int, tol: float = 1e-6) -> float:
-    """Fourier-inversion route to the (s, t) density; oracle for the closed form."""
-    return invert_char_fn(x, y, n, tol).value
+    return InversionResult(total * inv_four_pi_sq, error_bound)
 
 
 def inversion_probe_points(n: int) -> list[tuple[float, float]]:
@@ -312,11 +297,6 @@ class NormalizationEstimate:
     log_C_n: float
     log_Z_n: float
     quadrature_error_bound: float
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(values.max())
-    return m + math.log(float(np.exp(values - m).sum()))
 
 
 def _rescaled_cutoffs(n: int, margin: float = 60.0) -> tuple[float, float]:
@@ -355,7 +335,7 @@ def _log_rescaled_mass(n: int, nodes: int) -> float:
     gap = yt - a[:, None]
     log_integrand = -n * psi_unchecked(a[:, None], yt) - 1.5 * np.log(gap)
     log_terms = log_integrand + np.log(wy) + np.log(wx)[:, None] + math.log(2.0)
-    return _logsumexp(log_terms)
+    return float(logsumexp(log_terms))
 
 
 def estimate_C_n(n: int, base_nodes: int = 220) -> NormalizationEstimate:
@@ -368,7 +348,7 @@ def estimate_C_n(n: int, base_nodes: int = 220) -> NormalizationEstimate:
     fine = _log_rescaled_mass(n, int(1.45 * base_nodes))
     quad_err = abs(fine - coarse) + 1e-13
     log_c = (1.75 + 0.5 * (n - 3)) * math.log(n) + fine
-    log_z = log_c - 0.5 * (n * math.log(2.0) + math.log(math.pi * n)) - float(gammaln(0.5 * (n - 1)))
+    log_z = _minus_log_untilted_normalizer(log_c, n)
     if not 0.0 <= log_z <= 0.5 * n:
         raise NormalizationBoundError(
             f"log Z_{n} = {log_z!r} escaped [0, {0.5 * n}]; implementation bug"
@@ -684,16 +664,16 @@ def suite_density(
 ) -> list[CheckReport]:
     reports: list[CheckReport] = []
     for n in n_values:
+        probes = inversion_probe_points(n)
+        x_out, y_out = 1.5 * math.sqrt(n * 0.8 * n), 0.8 * n
         worst = 0.0
-        worst_imag = 0.0
         worst_point = None
-        for x, y in inversion_probe_points(n):
+        for x, y in probes:
             res = invert_char_fn(x, y, n, tol=min(1e-4, inversion_tol / 4.0))
             err = abs(res.value - density_closed_form(x, y, n))
             if err > worst:
                 worst = err
                 worst_point = (x, y)
-            worst_imag = max(worst_imag, res.imag_residue)
         reports.append(
             _abs_check(
                 f"density/inversion_vs_closed_form[n={n}]",
@@ -703,10 +683,22 @@ def suite_density(
                 f"max abs error over 12 in-support probes; worst at {worst_point}",
             )
         )
+        # integrating v >= 0 only rests on this mirror holding bit for bit
+        # (q = 7.5 is invert_char_fn's default)
+        mirror = np.max([
+            abs(_inner_cos_integral(x, -v, n, 7.5) - _inner_cos_integral(x, v, n, 7.5).conjugate())
+            for x, _ in (*probes, (x_out, y_out))
+            for v in (0.1, 1.0, 10.0)
+        ])
         reports.append(
-            _abs_check(f"density/inversion_imag_residue[n={n}]", worst_imag, 0.0, 1e-6)
+            _abs_check(
+                f"density/inversion_conjugate_mirror[n={n}]",
+                float(mirror),
+                0.0,
+                0.0,
+                "max |I(x, -v) - conj I(x, v)| of the inner u-integral over the 13 probes, v in {0.1, 1, 10}",
+            )
         )
-        x_out, y_out = 1.5 * math.sqrt(n * 0.8 * n), 0.8 * n
         res = invert_char_fn(x_out, y_out, n, tol=min(1e-4, inversion_tol / 4.0))
         reports.append(
             _abs_check(

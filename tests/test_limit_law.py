@@ -87,6 +87,23 @@ class TestNormalizer:
     def test_homogeneity(self, sigma):
         assert normalizer(sigma) == pytest.approx(sigma * normalizer(1.0), rel=1e-14)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0, True, "1"])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            normalizer(sigma)
+
+
+class TestQuarticLawSigma:
+    def test_numpy_float32_sigma_stored_as_python_float(self):
+        law = QuarticLaw(np.float32(1.3))
+        assert type(law.sigma) is float
+        assert law.cdf(0.9) == QuarticLaw(float(np.float32(1.3))).cdf(0.9)
+
+    @pytest.mark.parametrize("sigma", [True, np.True_, "1", math.inf, math.nan, 0.0, -1.0])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            QuarticLaw(sigma)
+
 
 class TestQuarticLawDensity:
     def test_peak_value(self):
@@ -183,12 +200,36 @@ class TestQuarticLawQuantile:
         np.testing.assert_array_equal(law.quantile(ps), [law.quantile(float(p)) for p in ps])
 
 
+class ZeroGammaRng:
+    """Gamma variates of exactly 0, which a real generator draws with
+    probability zero, and a fixed uniform for the signs."""
+
+    def __init__(self, uniform):
+        self.uniform = uniform
+
+    def gamma(self, shape, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+    def random(self, size=None):
+        return self.uniform if size is None else np.full(size, self.uniform)
+
+
 class TestQuarticLawSampler:
     def test_zero_gamma_maps_to_zero(self):
-        from cwsoc.limit_law import _quartic_from_gamma
+        law = QuarticLaw(2.0)
+        for uniform in (0.25, 0.75):  # negative, positive sign
+            assert law.sample(ZeroGammaRng(uniform)) == 0.0
+            np.testing.assert_array_equal(law.sample(ZeroGammaRng(uniform), size=3), np.zeros(3))
 
-        assert _quartic_from_gamma(0.0, False, 1.0) == 0.0
-        assert _quartic_from_gamma(0.0, True, 2.0) == 0.0
+    @pytest.mark.parametrize("sigma", [1.0, 1.3])
+    def test_scalar_draw_is_the_size_one_draw(self, sigma):
+        law = QuarticLaw(sigma)
+        for seed in range(200):
+            scalar_rng, block_rng = chain_rng(seed, 0), chain_rng(seed, 0)
+            x = law.sample(scalar_rng)
+            (y,) = law.sample(block_rng, size=1)
+            assert np.ndim(x) == 0 and float(x).hex() == float(y).hex(), seed
+            assert scalar_rng.random() == block_rng.random()  # same stream position afterwards
 
     def test_ks_against_own_cdf(self):
         law = QuarticLaw(1.0)
