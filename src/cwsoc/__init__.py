@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 from .model import (
     DomainError,
     ModelParams,
-    ScalingExponents,
     SumStats,
     SupportError,
     UnsupportedOrderError,
 )
 from .limit_law import QuarticLaw
-from .samplers import ChainState, SamplerConfig, init_chain, run, step
+from .samplers import ChainState, SamplerConfig, init_chain, run
 
 __all__ = [
     "__version__",
@@ -26,12 +25,10 @@ __all__ = [
     "SupportError",
     "UnsupportedOrderError",
     "ModelParams",
-    "ScalingExponents",
     "SumStats",
     "QuarticLaw",
     "SamplerConfig",
     "ChainState",
     "init_chain",
-    "step",
     "run",
 ]

@@ -1,16 +1,17 @@
-/* The Metropolis kernel of cwsoc.samplers, compiled.
- *
- * cw_metropolis runs one single-site random-walk step per pre-drawn
- * (site, normal, uniform) triple.  Its floating-point operations are those
- * of the reference loop in the tests, in the same order, and it calls the C
- * library's exp as math.exp does; built without FMA contraction or
- * -ffast-math, it accepts and rejects exactly as that loop does.
+/* The Metropolis kernel of cwsoc.samplers, compiled.  It exports one entry,
+ * cw_sweeps.
  *
  * cw_sweeps runs whole sweeps.  Each sweep draws its n sites, n proposal
  * normals and n acceptance uniforms on the chain's own numpy bit generator
  * through the functions numpy.random.Generator calls for
  * integers(0, n, size=n), standard_normal(n) and random(n), in that order,
  * so the stream is the one the Python API would consume.
+ *
+ * Its static helper cw_metropolis runs one single-site random-walk step per
+ * drawn (site, normal, uniform) triple.  Its floating-point operations are
+ * those of the reference loop in the tests, in the same order, and it calls
+ * the C library's exp as math.exp does; built without FMA contraction or
+ * -ffast-math, it accepts and rejects exactly as that loop does.
  */
 
 #include <stdbool.h>
@@ -29,8 +30,8 @@ void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
 /* Steps x and the cached st = {s, t} through m proposals; returns the number
  * accepted.  A proposal whose t would not be positive (float cancellation
  * only) is rejected outright. */
-int64_t cw_metropolis(double *x, double *st, const int64_t *sites, const double *normals,
-                      const double *uniforms, int64_t m, double scale, double inv_two_sigma_sq)
+static int64_t cw_metropolis(double *x, double *st, const int64_t *sites, const double *normals,
+                             const double *uniforms, int64_t m, double scale, double inv_two_sigma_sq)
 {
     double s = st[0];
     double t = st[1];

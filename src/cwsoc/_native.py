@@ -80,8 +80,6 @@ def kernel() -> ctypes.CDLL:
             _build(path)
         lib = ctypes.CDLL(str(path))
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        lib.cw_metropolis.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, f64, f64]
-        lib.cw_metropolis.restype = i64
         lib.cw_sweeps.argtypes = [ptr, ptr, i64, ptr, i64, f64, f64, ptr, ptr]
         lib.cw_sweeps.restype = i64
         _lib = lib

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,18 +39,6 @@ HISTOGRAM_HEADER = "bin_left,bin_right,density_empirical,density_limit"
 
 class UsageError(ValueError):
     """Bad flag combination or malformed config input; exits with code 2."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run's outputs byte for byte."""
-
-    command: str
-    params: dict
-    sampler: dict
-    timestamp: str
-    code_version: str
-    output_paths: list[str]
 
 
 def _fmt(x: float) -> str:
@@ -77,32 +65,21 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace, config: dict, name: str, default, cast):
+    """Setting `name` from its flag, else its config key, else (the seed only)
+    the CWSOC_SEED environment variable, else `default`."""
     given = getattr(args, name)
     if given is not None:
         return given
     if name in config:
-        try:
-            return cast(config[name])
-        except ValueError as exc:
-            raise UsageError(f"config value {name}={config[name]!r} is not a valid {cast.__name__}") from exc
-    return default
-
-
-def _resolve_seed(args: argparse.Namespace, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in config:
-        try:
-            return int(config["seed"])
-        except ValueError as exc:
-            raise UsageError(f"config seed {config['seed']!r} is not an integer") from exc
-    env = os.environ.get("CWSOC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"CWSOC_SEED={env!r} is not an integer") from exc
-    return 0
+        source, text = f"config value {name}", config[name]
+    elif name == "seed" and "CWSOC_SEED" in os.environ:
+        source, text = "CWSOC_SEED", os.environ["CWSOC_SEED"]
+    else:
+        return default
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise UsageError(f"{source}={text!r} is not a valid {cast.__name__}") from exc
 
 
 def _int_list(text: str) -> list[int]:
@@ -127,7 +104,7 @@ def _sampler_settings(
         proposal_scale=_resolve(args, config, "proposal_scale", SamplerConfig.proposal_scale, float),
         burn_in_sweeps=_resolve(args, config, "burn_in", burn_in_default, int),
         thin_sweeps=_resolve(args, config, "thin", SamplerConfig.thin_sweeps, int),
-        seed=_resolve_seed(args, config),
+        seed=_resolve(args, config, "seed", SamplerConfig.seed, int),
     )
     return sigma, sweeps, cfg
 
@@ -142,18 +119,18 @@ def _write_manifest(
     if chains is not None:
         sampler["chains"] = chains
         chains_flag = f" --chains {chains}"
-    manifest = RunManifest(
-        command=(
+    manifest = {
+        "command": (
             f"{command} --sigma {_fmt(params['sigma'])} --sweeps {sweeps} --burn-in {cfg.burn_in_sweeps} "
             f"--thin {cfg.thin_sweeps}{chains_flag} --seed {cfg.seed} --proposal-scale {_fmt(cfg.proposal_scale)}"
         ),
-        params=params,
-        sampler=sampler,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        code_version=__version__,
-        output_paths=[output],
-    )
-    (out_dir / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+        "params": params,
+        "sampler": sampler,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "code_version": __version__,
+        "output_paths": [output],
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _run_chains(params: ModelParams, cfg: SamplerConfig, chains: int, sweeps: int) -> list[list[SampleRecord]]:
@@ -221,7 +198,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
         count = args.sample
         if count < 0:
             raise UsageError(f"--sample must be nonnegative, got {count}")
-        seed = _resolve_seed(args, config)
+        seed = _resolve(args, config, "seed", 0, int)
         draws = law.sample(chain_rng(seed, 0), size=count)
         lines = [format(v, ".17g") for v in draws]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
@@ -299,10 +276,13 @@ def _read_samples_column(path: Path, column: str) -> np.ndarray:
             raise UsageError(f"{path}: column {column!r} not found in header {header!r}")
         idx = names.index(column)
         values = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if line:
-                values.append(float(line.split(",")[idx]))
+                try:
+                    values.append(float(line.split(",")[idx]))
+                except (IndexError, ValueError) as exc:
+                    raise UsageError(f"{path}:{lineno}: no {column} value in row {line!r}") from exc
     return np.asarray(values)
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "UnsupportedOrderError",
     "ModelParams",
     "SumStats",
-    "ScalingExponents",
     "MIN_DENSITY_N",
     "is_integer",
     "positive_real",
@@ -91,18 +90,6 @@ class SumStats(NamedTuple):
 
     s: float
     t: float
-
-
-@dataclass(frozen=True)
-class ScalingExponents:
-    """Fluctuation exponents (alpha for s, beta for t); defaults give the critical scaling."""
-
-    alpha: float = 0.75
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta <= 1.0):
-            raise DomainError(f"exponents must lie in (0, 1], got {self.alpha!r}, {self.beta!r}")
 
 
 def compensated_sum(values: Iterable[float]) -> float:
@@ -215,27 +202,21 @@ def phi_weight(x: float, y: float) -> float:
     return (y - x) ** -1.5
 
 
-def log_rescaled_density_unnormalized(
-    x: float,
-    y: float,
-    params: ModelParams,
-    exps: ScalingExponents = ScalingExponents(),
-) -> float:
-    """Unnormalized log density of (s/n^alpha, t/n^beta), sigma = 1 only.
+def log_rescaled_density_unnormalized(x: float, y: float, params: ModelParams) -> float:
+    """Unnormalized log density of (s/n^{3/4}, t/n), the statistics scaled by
+    the critical exponents 3/4 and 1; sigma = 1 only.
 
-    Equals -n*psi(a, b) - (3/2)*ln(b - a) at the mapped point
-    (a, b) = (x^2/n^{2-2 alpha}, y/n^{1-beta}).  Differs from
-    log_joint_density_unnormalized at (s, t) = (x n^alpha, y n^beta) by the
-    additive constant ((n-3)/2) ln(n), which makes the two routes mutually
-    testable.
+    Equals -n*psi(a, y) - (3/2)*ln(y - a) at the mapped point (a, y) with
+    a = x^2/n^{1/2}.  Differs from log_joint_density_unnormalized at
+    (s, t) = (x n^{3/4}, y n) by the additive constant ((n-3)/2) ln(n), which
+    makes the two routes mutually testable.
     """
     if params.sigma != 1.0:
         raise DomainError("rescaled density is defined for sigma = 1; rescale the caller's units first")
     n = params.n
-    a = x * x / n ** (2.0 - 2.0 * exps.alpha)
-    b = y / n ** (1.0 - exps.beta)
-    if not b > a:
+    a = x * x / n**0.5
+    if not y > a:
         raise SupportError(
-            f"mapped point ({a!r}, {b!r}) outside the wedge y > x >= 0"
+            f"mapped point ({a!r}, {y!r}) outside the wedge y > x >= 0"
         )
-    return -n * psi(a, b) - 1.5 * math.log(b - a)
+    return -n * psi(a, y) - 1.5 * math.log(y - a)

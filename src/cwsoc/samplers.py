@@ -6,7 +6,7 @@ Two independent routes at the statistics level:
   incremental updates of (s, t), targeting the tilted measure exactly.  The
   kernel is compiled C (``_kernel.c``, built and cached by ``_native`` on
   first use): ``run`` hands it each stretch of sweeps up to the next resync
-  in one call, draws included, and ``step`` one pre-drawn proposal;
+  in one call, draws included;
 * exact iid draws of (s, t) from the untilted product law, reweighted by
   exp(s^2/(2t)) in a self-normalized importance-sampling estimator.
 
@@ -38,7 +38,6 @@ __all__ = [
     "ImportanceResult",
     "chain_rng",
     "init_chain",
-    "step",
     "run",
     "acceptance_rate",
     "sample_nu_star",
@@ -52,6 +51,8 @@ RESYNC_EVERY_SWEEPS = 10_000
 
 MIN_IMPORTANCE_DRAWS = 100
 MIN_RELIABLE_ESS = 50.0
+# importance_estimate draws and evaluates this many proposals at a time
+IMPORTANCE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -133,56 +134,6 @@ def init_chain(params: ModelParams, cfg: SamplerConfig, chain_id: int = 0) -> Ch
     return ChainState(x=x, s=s, t=t, params=params, cfg=cfg, rng=rng, chain_id=chain_id)
 
 
-def _kernel():
-    """The compiled Metropolis kernel, imported on first use so that importing
-    this module neither loads nor builds it."""
-    from ._native import kernel
-
-    return kernel()
-
-
-def _kernel_args(chain: ChainState):
-    """Checks the chain's configuration array for the compiled kernel and
-    returns (x, scale, 1/(2 sigma^2)) for it."""
-    x = chain.x
-    if not (
-        isinstance(x, np.ndarray)
-        and x.dtype == np.float64
-        and x.shape == (chain.params.n,)
-        and x.flags.c_contiguous
-        and x.flags.writeable
-    ):
-        raise DomainError("chain.x must be a writeable contiguous float64 array of n spins")
-    sigma = chain.params.sigma
-    return x, chain.cfg.proposal_scale * sigma, 1.0 / (2.0 * sigma**2)
-
-
-def step(chain: ChainState) -> bool:
-    """One single-site Metropolis step; returns True iff the proposal was accepted.
-
-    Draw order per step is fixed: site index, proposal normal, acceptance
-    uniform.  Proposals that would make the cached t nonpositive (possible
-    only through float cancellation) are rejected outright.
-    """
-    x, scale, inv_two_sigma_sq = _kernel_args(chain)
-    n = chain.params.n
-    k = int(chain.rng.integers(0, n))
-    if not 0 <= k < n:
-        raise DomainError(f"site {k} outside 0..{n - 1}")
-    site = np.array([k], dtype=np.int64)
-    normal = np.array([chain.rng.standard_normal()])
-    uniform = np.array([chain.rng.random()])
-    st = np.array([chain.s, chain.t])
-    accepted = _kernel().cw_metropolis(
-        x.ctypes.data, st.ctypes.data, site.ctypes.data, normal.ctypes.data, uniform.ctypes.data,
-        1, scale, inv_two_sigma_sq,
-    )
-    chain.s, chain.t = st.tolist()
-    chain.accepted += accepted
-    chain.proposed += 1
-    return accepted == 1
-
-
 def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     """Advance the chain by `sweeps` sweeps, recording thinned post-burn-in stats.
 
@@ -198,14 +149,27 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     """
     if sweeps < 0:
         raise DomainError(f"sweeps must be nonnegative, got {sweeps!r}")
-    x, scale, inv_two_sigma_sq = _kernel_args(chain)
-    burn, thin = chain.cfg.burn_in_sweeps, chain.cfg.thin_sweeps
     n = chain.params.n
+    x = chain.x
+    if not (
+        isinstance(x, np.ndarray)
+        and x.dtype == np.float64
+        and x.shape == (n,)
+        and x.flags.c_contiguous
+        and x.flags.writeable
+    ):
+        raise DomainError("chain.x must be a writeable contiguous float64 array of n spins")
+    sigma = chain.params.sigma
+    scale, inv_two_sigma_sq = chain.cfg.proposal_scale * sigma, 1.0 / (2.0 * sigma**2)
+    burn, thin = chain.cfg.burn_in_sweeps, chain.cfg.thin_sweeps
     s_denom = float(n) ** 0.75
     records: list[SampleRecord] = []
     if sweeps == 0:
         return records
-    lib = _kernel()
+    # imported here so that importing this module neither loads nor builds the kernel
+    from ._native import kernel
+
+    lib = kernel()
     bit_generator = chain.rng.bit_generator
     bitgen = bit_generator.ctypes.bit_generator.value
     st = np.empty(2)
@@ -278,8 +242,6 @@ def importance_estimate(
     params: ModelParams,
     draws: int,
     rng: np.random.Generator,
-    *,
-    block: int = 4096,
 ) -> ImportanceResult:
     """Self-normalized importance estimate of E[f(s, t)] under the tilted model.
 
@@ -296,7 +258,7 @@ def importance_estimate(
     f_vals = np.empty(draws)
     done = 0
     while done < draws:
-        m = min(block, draws - done)
+        m = min(IMPORTANCE_BLOCK, draws - done)
         s_arr, t_arr = sample_nu_star(params, rng, m)
         log_w[done : done + m] = s_arr**2 / (2.0 * t_arr)
         f_vals[done : done + m] = [f(SumStats(s, t)) for s, t in zip(s_arr, t_arr)]

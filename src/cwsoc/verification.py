@@ -166,7 +166,12 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(m)
 
 
-def _inner_cos_integral(x: float, v: float, n: int, q: float) -> complex:
+# The inner u-integral of the Fourier inversion stops at q = Q_WIDTHS Gaussian
+# widths of |Phi_n|.
+Q_WIDTHS = 7.5
+
+
+def _inner_cos_integral(x: float, v: float, n: int) -> complex:
     """int_R e^{-ixu} Phi_n(u, v) du = 2 int_0^U cos(xu) Phi_n(u, v) du.
 
     U = q * sqrt((1+4v^2)/n) truncates at q Gaussian widths of |Phi_n|.
@@ -174,8 +179,8 @@ def _inner_cos_integral(x: float, v: float, n: int, q: float) -> complex:
     Gauss-Legendre panel sees less than one oscillation period.
     """
     u_scale = math.sqrt((1.0 + 4.0 * v * v) / n)
-    upper = q * u_scale
-    phase = abs(x) * upper + q * q * abs(v)
+    upper = Q_WIDTHS * u_scale
+    phase = abs(x) * upper + Q_WIDTHS * Q_WIDTHS * abs(v)
     panels = 6 + int(phase / 4.0)
     ref_nodes, ref_weights = _gauss_legendre(16)
     edges = np.linspace(0.0, upper, panels + 1)
@@ -210,7 +215,7 @@ def _qawf(f: Callable[[float], float], omega: float, kind: str, epsabs: float) -
     return out[0], out[1]
 
 
-def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6, q: float = 7.5) -> InversionResult:
+def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6) -> InversionResult:
     """Density at (x, y) by 2-d quadrature of the Fourier-inversion integral.
 
     The characteristic function is integrable only for n >= 5.  The outer
@@ -231,7 +236,7 @@ def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6, q: float = 7.5
     inv_four_pi_sq = 1.0 / (_TWO_PI * _TWO_PI)
     # Truncation of the inner integral at q Gaussian widths.  The quadrature
     # error only adds to this term, so a tol below it cannot be met.
-    u_tail = math.exp(-0.5 * q * q) * math.sqrt(_TWO_PI / n) * _abs_cf_v_integral(n)
+    u_tail = math.exp(-0.5 * Q_WIDTHS * Q_WIDTHS) * math.sqrt(_TWO_PI / n) * _abs_cf_v_integral(n)
     truncation = inv_four_pi_sq * u_tail
     if truncation > tol:
         raise InversionAccuracyError(
@@ -246,7 +251,7 @@ def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6, q: float = 7.5
     def h(v: float) -> complex:
         got = cache.get(v)
         if got is None:
-            got = cmath.exp(complex(0.0, -c * v)) * _inner_cos_integral(x, v, n, q)
+            got = cmath.exp(complex(0.0, -c * v)) * _inner_cos_integral(x, v, n)
             cache[v] = got
         return got
 
@@ -299,18 +304,21 @@ class NormalizationEstimate:
     quadrature_error_bound: float
 
 
-def _rescaled_cutoffs(n: int, margin: float = 60.0) -> tuple[float, float]:
-    """Window [0, X] x [., y_hi] outside which exp(-n(psi - 1/2)) < e^{-margin}.
+CUTOFF_MARGIN = 60.0
+
+
+def _rescaled_cutoffs(n: int) -> tuple[float, float]:
+    """Window [0, X] x [., y_hi] outside which exp(-n(psi - 1/2)) < e^{-CUTOFF_MARGIN}.
 
     psi is increasing in its first argument, so the y cutoff only needs the
     x = 0 section (y - ln y)/2.
     """
     y_offsets = np.geomspace(1e-4, 80.0, 500)
     a = 0.25
-    while n * (psi_unchecked(a, a + y_offsets).min() - 0.5) < margin and a < 1e6:
+    while n * (psi_unchecked(a, a + y_offsets).min() - 0.5) < CUTOFF_MARGIN and a < 1e6:
         a *= 1.5
     x_cut = math.sqrt(a * math.sqrt(n))
-    target = 1.0 + 2.0 * margin / n
+    target = 1.0 + 2.0 * CUTOFF_MARGIN / n
     y_hi = 2.0
     while y_hi - math.log(y_hi) < target:
         y_hi *= 1.5
@@ -338,14 +346,20 @@ def _log_rescaled_mass(n: int, nodes: int) -> float:
     return float(logsumexp(log_terms))
 
 
-def estimate_C_n(n: int, base_nodes: int = 220) -> NormalizationEstimate:
+# Gauss-Legendre nodes per axis: estimate_C_n's coarse grid (its fine grid has
+# 1.45 times as many) and laplace_ratio's grid.
+C_N_NODES = 220
+LAPLACE_RATIO_NODES = 240
+
+
+def estimate_C_n(n: int) -> NormalizationEstimate:
     """Joint-density normalization constant, via log-space quadrature in
     rescaled coordinates (x/n^{3/4}, y/n); also derives log Z_n and enforces
     the convexity bound 0 <= log Z_n <= n/2."""
     if n < MIN_DENSITY_N:
         raise UnsupportedOrderError(f"normalization estimate requires n >= {MIN_DENSITY_N}, got {n}")
-    coarse = _log_rescaled_mass(n, base_nodes)
-    fine = _log_rescaled_mass(n, int(1.45 * base_nodes))
+    coarse = _log_rescaled_mass(n, C_N_NODES)
+    fine = _log_rescaled_mass(n, int(1.45 * C_N_NODES))
     quad_err = abs(fine - coarse) + 1e-13
     log_c = (1.75 + 0.5 * (n - 3)) * math.log(n) + fine
     log_z = _minus_log_untilted_normalizer(log_c, n)
@@ -384,13 +398,13 @@ def log_C_n_by_raw_quadrature(n: int) -> float:
     return math.log(2.0 * val)
 
 
-def laplace_ratio(n: int, base_nodes: int = 240) -> float:
+def laplace_ratio(n: int) -> float:
     """Ratio of C_n to its saddle-point asymptotic equivalent
     n^{7/4} n^{(n-3)/2} sqrt(4 pi / n) e^{-n/2} * (total quartic mass);
     tends to 1 as n grows."""
     if n < MIN_DENSITY_N:
         raise UnsupportedOrderError(f"laplace ratio requires n >= {MIN_DENSITY_N}, got {n}")
-    log_mass = _log_rescaled_mass(n, base_nodes)
+    log_mass = _log_rescaled_mass(n, LAPLACE_RATIO_NODES)
     log_rhs = 0.5 * math.log(4.0 * math.pi / n) - 0.5 * n + math.log(normalizer(1.0))
     return math.exp(log_mass - log_rhs)
 
@@ -448,29 +462,42 @@ def psi_expansion_check(h: float) -> "CheckReport":
     )
 
 
-def psi_grid_min_outside_box(
-    delta: float = 0.1, x_max: float = 6.0, y_max: float = 8.0, m: int = 600
-) -> float:
-    """Minimum of psi over a fine grid of the wedge minus the delta-box at (0, 1).
+# psi_grid_min_outside_box: half-width of the box at (0, 1) it leaves out, and
+# its GRID_M x GRID_M grid of the window [0, GRID_X_MAX] x [1e-6, GRID_Y_MAX].
+BOX_DELTA = 0.1
+GRID_X_MAX = 6.0
+GRID_Y_MAX = 8.0
+GRID_M = 600
 
-    Beyond the window psi exceeds 2.9, so the grid minimum is the global one.
+
+def psi_grid_min_outside_box() -> float:
+    """Minimum of psi over a fine grid of the wedge minus the BOX_DELTA-box at (0, 1).
+
+    Beyond the window [0, 6] x [1e-6, 8] psi exceeds 2.9, so the grid minimum
+    is the global one.
     """
-    xs = np.linspace(0.0, x_max, m)
-    ys = np.linspace(1e-6, y_max, m)
+    xs = np.linspace(0.0, GRID_X_MAX, GRID_M)
+    ys = np.linspace(1e-6, GRID_Y_MAX, GRID_M)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     valid = yg > xg
-    outside_box = (np.abs(xg) >= delta) | (np.abs(yg - 1.0) >= delta)
+    outside_box = (np.abs(xg) >= BOX_DELTA) | (np.abs(yg - 1.0) >= BOX_DELTA)
     mask = valid & outside_box
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = psi_unchecked(xg, yg)
     return float(np.where(mask, vals, np.inf).min())
 
 
-def psi_quadratic_lower_bound_margin(delta_star: float = 0.5, m: int = 400) -> float:
-    """min over the delta*-box of [psi - 1/2 - (x^2 + (y-1)^2)/8]; nonnegative
+# psi_quadratic_lower_bound_margin: half-width delta* of its box at (0, 1),
+# sampled on BOUND_GRID_M x (BOUND_GRID_M + 1) points.
+DELTA_STAR = 0.5
+BOUND_GRID_M = 400
+
+
+def psi_quadratic_lower_bound_margin() -> float:
+    """min over the DELTA_STAR-box of [psi - 1/2 - (x^2 + (y-1)^2)/8]; nonnegative
     means the local quadratic lower bound holds on that box."""
-    xs = np.linspace(0.0, delta_star, m, endpoint=False)
-    ys = np.linspace(1.0 - delta_star, 1.0 + delta_star, m + 1)
+    xs = np.linspace(0.0, DELTA_STAR, BOUND_GRID_M, endpoint=False)
+    ys = np.linspace(1.0 - DELTA_STAR, 1.0 + DELTA_STAR, BOUND_GRID_M + 1)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     valid = yg > xg
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -550,13 +577,12 @@ _GAUSS_INTEGRAL_GRID_T = (0.0, 1.0, 2.5)
 _GAUSS_INTEGRAL_GRID_ZETA = (1.0 + 0.0j, 1.0 + 2.0j, 1.0 - 2.0j, 0.2 + 3.0j)
 
 
-def _gaussian_integral_by_quadrature(t: float, zeta: complex, cutoff: float | None = None) -> complex:
+def _gaussian_integral_by_quadrature(t: float, zeta: complex) -> complex:
     def f(x: float) -> complex:
         return cmath.exp(1j * t * x - 0.5 * zeta * x * x)
 
-    if cutoff is None:
-        # envelope exp(-Re(zeta) x^2 / 2) below 1e-13 at the cutoff
-        cutoff = max(12.0, math.sqrt(60.0 / zeta.real))
+    # envelope exp(-Re(zeta) x^2 / 2) below 1e-13 at the cutoff
+    cutoff = max(12.0, math.sqrt(60.0 / zeta.real))
     re, _ = quad(lambda x: f(x).real, -cutoff, cutoff, epsabs=1e-12, limit=400)
     im, _ = quad(lambda x: f(x).imag, -cutoff, cutoff, epsabs=1e-12, limit=400)
     return complex(re, im)
@@ -684,9 +710,8 @@ def suite_density(
             )
         )
         # integrating v >= 0 only rests on this mirror holding bit for bit
-        # (q = 7.5 is invert_char_fn's default)
         mirror = np.max([
-            abs(_inner_cos_integral(x, -v, n, 7.5) - _inner_cos_integral(x, v, n, 7.5).conjugate())
+            abs(_inner_cos_integral(x, -v, n) - _inner_cos_integral(x, v, n).conjugate())
             for x, _ in (*probes, (x_out, y_out))
             for v in (0.1, 1.0, 10.0)
         ])
@@ -748,16 +773,15 @@ def suite_laplace(
         _margin_check(
             "laplace/psi_grid_min_outside_box",
             0.5 - grid_min,
-            f"grid min {grid_min!r} outside the 0.1-box must exceed 0.5",
+            f"grid min {grid_min!r} outside the {BOX_DELTA}-box must exceed 0.5",
         )
     )
-    delta_star = 0.5
-    margin = psi_quadratic_lower_bound_margin(delta_star)
+    margin = psi_quadratic_lower_bound_margin()
     reports.append(
         _margin_check(
-            f"laplace/psi_quadratic_lower_bound[delta*={delta_star}]",
+            f"laplace/psi_quadratic_lower_bound[delta*={DELTA_STAR}]",
             -margin,
-            f"calibrated delta* = {delta_star}; min of psi - 1/2 - r^2/8 on the box is {margin!r}",
+            f"calibrated delta* = {DELTA_STAR}; min of psi - 1/2 - r^2/8 on the box is {margin!r}",
         )
     )
     for n in n_norm_values:
@@ -815,7 +839,11 @@ def run_suites(
     n_list: Sequence[int] | None = None,
     tol_overrides: dict[str, float] | None = None,
 ) -> list[CheckReport]:
-    """Run the named verification suites and merge reports in name order."""
+    """Run the named verification suites and merge reports in name order.
+
+    A nonempty n_list replaces the orders of the density and laplace suites;
+    every order in it must be at least MIN_DENSITY_N.
+    """
     if isinstance(names, str):
         names = [names]
     tols = dict(tol_overrides or {})
@@ -834,10 +862,11 @@ def run_suites(
             raise DomainError(f"tolerance override {name} must be finite and positive, got {value!r}")
         suite, keyword = TOL_OVERRIDES[name]
         kwargs[suite][keyword] = value
-    orders = tuple(m for m in n_list or () if m >= MIN_DENSITY_N)
-    if orders:
-        kwargs["density"]["n_values"] = orders
-        kwargs["laplace"]["n_norm_values"] = orders
+    if n_list:
+        small = [m for m in n_list if m < MIN_DENSITY_N]
+        if small:
+            raise DomainError(f"n-list orders must be at least {MIN_DENSITY_N}, got {small}")
+        kwargs["density"]["n_values"] = kwargs["laplace"]["n_norm_values"] = tuple(n_list)
     reports: list[CheckReport] = []
     if "complex" in requested:
         reports.extend(suite_complex(**kwargs["complex"]))

@@ -86,7 +86,7 @@ def test_criterion_03_laplace_geometry():
     min_val = psi(0.0, 1.0)
     (g_x, g_y), (h_xx, h_yy, h_xy) = psi_quadratic_expansion(1e-4)
     hessian_dev = max(abs(h_xx - 0.5), abs(h_yy - 0.5), abs(h_xy))
-    grid_min = psi_grid_min_outside_box(0.1)
+    grid_min = psi_grid_min_outside_box()
     elapsed = time.time() - start
     ok = (
         abs(min_val - 0.5) <= 1e-14

@@ -205,6 +205,13 @@ class TestVerify:
         assert name in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("n_list", ["3,4", "3,6"])
+    def test_n_list_below_5_exits_2_without_report(self, tmp_path, capsys, n_list):
+        out = tmp_path / "verify"
+        assert main(["verify", "--suite", "density", "--n-list", n_list, "--out", str(out)]) == 2
+        assert "at least 5" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_tol_override_applies(self, tmp_path):
         # an absurdly tight oracle tolerance must flip checks to FAIL -> exit 1
         code = main(["verify", "--suite", "complex", "--tol", "complex_quad_tol=1e-18",
@@ -297,6 +304,15 @@ class TestPlotdata:
 
     def test_missing_input_exits_1(self, tmp_path):
         assert main(["plotdata", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("bad_row", ["0,3,1.0,2.0", "0,3,1.0,2.0,abc,0.5"])
+    def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, bad_row):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"chain,sweep,s,t,s_scaled,t_scaled\n0,1,1.0,2.0,0.3,0.5\n{bad_row}\n")
+        out = tmp_path / "plot"
+        assert main(["plotdata", "--input", str(samples), "--out", str(out)]) == 2
+        assert f"{samples}:3:" in capsys.readouterr().err
+        assert not (out / "histogram.csv").exists()
 
 
 class TestConfigPrecedence:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cwsoc.model import (
     DomainError,
     ModelParams,
-    ScalingExponents,
     SumStats,
     SupportError,
     UnsupportedOrderError,
@@ -269,13 +268,3 @@ class TestParamTypes:
         for bad in (True, np.float32(-1.0), np.float32(np.inf), "1.5"):
             with pytest.raises(DomainError):
                 ModelParams(4, bad)
-
-    def test_scaling_exponent_defaults(self):
-        exps = ScalingExponents()
-        assert (exps.alpha, exps.beta) == (0.75, 1.0)
-
-    def test_scaling_exponent_validation(self):
-        with pytest.raises(DomainError):
-            ScalingExponents(alpha=0.0)
-        with pytest.raises(DomainError):
-            ScalingExponents(beta=1.5)

@@ -75,6 +75,8 @@ class TestCache:
 
     def test_simultaneous_builds_on_threads_of_one_process(self, tmp_path, monkeypatch):
         # what a cold `simulate --chains 2` does: both chain threads find no library
+        params, cfg = ModelParams(5, 1.0), SamplerConfig(burn_in_sweeps=0, seed=4)
+        expected = run(init_chain(params, cfg), 30)[-1]
         cache = tmp_path / "cache"
         monkeypatch.setattr(_native, "CACHE_DIR", cache)
         monkeypatch.setattr(_native, "_lib", None)
@@ -93,14 +95,15 @@ class TestCache:
             assert not thread.is_alive()
         assert len(libs) == 2
         for lib in libs:
-            # one identity proposal (normal 0) on x = (1, 2): always accepted
-            x, st = np.array([1.0, 2.0]), np.array([3.0, 5.0])
-            site, normal, uniform = np.array([0], dtype=np.int64), np.zeros(1), np.array([0.5])
-            accepted = lib.cw_metropolis(
-                x.ctypes.data, st.ctypes.data, site.ctypes.data, normal.ctypes.data, uniform.ctypes.data,
-                1, 2.0, 0.5,
+            # 30 sweeps in one call: the statistics `run` records after sweep 30
+            chain = init_chain(params, cfg)
+            st, s_out, t_out = np.array([chain.s, chain.t]), np.empty(30), np.empty(30)
+            accepted = lib.cw_sweeps(
+                chain.rng.bit_generator.ctypes.bit_generator.value, chain.x.ctypes.data, 5, st.ctypes.data,
+                30, cfg.proposal_scale, 0.5, s_out.ctypes.data, t_out.ctypes.data,
             )
-            assert accepted == 1 and x.tolist() == [1.0, 2.0] and st.tolist() == [3.0, 5.0]
+            assert 0 < accepted < 150
+            assert (s_out[-1], t_out[-1]) == (expected.s, expected.t) == tuple(st)
         (built,) = library_files(cache)  # no temporary files left behind
         assert built.endswith(".so")
 

@@ -20,38 +20,17 @@ from cwsoc.samplers import (
     init_chain,
     run,
     sample_nu_star,
-    step,
 )
 from cwsoc.verification import density_closed_form
 
 
-class ScriptedRng:
-    """Plays back queued draws; used to force specific proposals in step()."""
-
-    def __init__(self, sites, normals, uniforms):
-        self._sites = list(sites)
-        self._normals = list(normals)
-        self._uniforms = list(uniforms)
-
-    def integers(self, low, high):
-        return self._sites.pop(0)
-
-    def standard_normal(self):
-        return self._normals.pop(0)
-
-    def random(self):
-        return self._uniforms.pop(0)
-
-
-def scripted_chain(x, sigma, proposal_scale, sites, normals, uniforms):
+def hand_chain(x, sigma, proposal_scale):
+    """A chain on configuration x whose steps take their draws as arguments."""
     params = ModelParams(n=len(x), sigma=sigma)
     cfg = SamplerConfig(proposal_scale=proposal_scale, burn_in_sweeps=0, thin_sweeps=1, seed=0)
     arr = np.asarray(x, dtype=float)
     s, t = sum_stats(arr)
-    return ChainState(
-        x=arr, s=s, t=t, params=params, cfg=cfg,
-        rng=ScriptedRng(sites, normals, uniforms),
-    )
+    return ChainState(x=arr, s=s, t=t, params=params, cfg=cfg, rng=None)
 
 
 class TestSamplerConfig:
@@ -119,9 +98,12 @@ class TestInitChain:
 
 
 class TestStep:
+    # hand-computed steps of oracle_step, which TestRunMatchesPythonOracle ties
+    # bit for bit to the compiled kernel
+
     def test_identity_proposal_always_accepted(self):
-        chain = scripted_chain([1.0, 2.0], 1.0, 2.0, sites=[0], normals=[0.0], uniforms=[0.999999])
-        assert step(chain) is True
+        chain = hand_chain([1.0, 2.0], 1.0, 2.0)
+        assert oracle_step(chain, 0, 0.0, 0.999999) is True
         assert chain.accepted == 1 and chain.proposed == 1
 
     def test_acceptance_matches_hand_computed_ratio(self):
@@ -132,18 +114,18 @@ class TestStep:
         assert delta < 0.0  # downhill move, so the uniform decides
         ratio = math.exp(delta)
 
-        accept = scripted_chain([1.0, 2.0], 1.0, 2.0, [0], [0.7], [ratio * 0.999])
-        assert step(accept) is True
+        accept = hand_chain([1.0, 2.0], 1.0, 2.0)
+        assert oracle_step(accept, 0, 0.7, ratio * 0.999) is True
         assert accept.x[0] == x0_new and accept.s == s_new and accept.t == t_new
 
-        reject = scripted_chain([1.0, 2.0], 1.0, 2.0, [0], [0.7], [ratio * 1.001])
-        assert step(reject) is False
+        reject = hand_chain([1.0, 2.0], 1.0, 2.0)
+        assert oracle_step(reject, 0, 0.7, ratio * 1.001) is False
         assert reject.x[0] == 1.0 and (reject.s, reject.t) == (3.0, 5.0)
 
     def test_uphill_move_always_accepted(self):
         # moving x1 toward x0 raises the tilt and lowers t: strictly uphill
-        chain = scripted_chain([1.0, -1.0], 1.0, 1.0, [1], [1.5], [0.9999999])
-        assert step(chain) is True
+        chain = hand_chain([1.0, -1.0], 1.0, 1.0)
+        assert oracle_step(chain, 1, 1.5, 0.9999999) is True
 
 
 class TestRun:
@@ -155,6 +137,19 @@ class TestRun:
         chain = init_chain(ModelParams(8, 1.0), SamplerConfig(seed=1))
         with pytest.raises(DomainError):
             run(chain, -1)
+
+    @pytest.mark.parametrize("make_x", [
+        lambda: np.ones(16)[::2],
+        lambda: np.ones(8, dtype=np.float32),
+        lambda: np.ones(9),
+        lambda: np.frombuffer(bytes(64)),  # eight read-only float64 zeros
+        lambda: [1.0] * 8,
+    ], ids=["strided", "float32", "wrong-length", "read-only", "list"])
+    def test_configuration_unfit_for_the_kernel_rejected(self, make_x):
+        chain = init_chain(ModelParams(8, 1.0), SamplerConfig(seed=1))
+        chain.x = make_x()
+        with pytest.raises(DomainError, match="chain.x"):
+            run(chain, 1)
 
     def test_burn_in_and_thinning_schedule(self):
         cfg = SamplerConfig(seed=3, burn_in_sweeps=10, thin_sweeps=4)
@@ -183,43 +178,54 @@ class TestRun:
         assert 0.85 * sigma**2 < mean_t < 1.15 * sigma**2
 
 
+def oracle_step(chain, k, z, u):
+    """Reference single-site Metropolis step in plain floats with math.exp.
+
+    Proposes spin k moved by proposal_scale * sigma * z and accepts it when the
+    log ratio delta is nonnegative or u < exp(delta); a proposal whose t would
+    not be positive is rejected outright.  Returns True iff it was accepted.
+    """
+    scale = chain.cfg.proposal_scale * chain.params.sigma
+    inv_two_sigma_sq = 1.0 / (2.0 * chain.params.sigma**2)
+    x, s, t = chain.x, chain.s, chain.t
+    chain.proposed += 1
+    old = float(x[k])
+    new = old + scale * z
+    s_new = s - old + new
+    t_new = t - old * old + new * new
+    if not t_new > 0.0:
+        return False
+    delta = (
+        s_new * s_new / (2.0 * t_new)
+        - t_new * inv_two_sigma_sq
+        - s * s / (2.0 * t)
+        + t * inv_two_sigma_sq
+    )
+    if delta >= 0.0 or u < math.exp(delta):
+        x[k] = new
+        chain.s, chain.t = s_new, t_new
+        chain.accepted += 1
+        return True
+    return False
+
+
 def oracle_run(chain, sweeps):
     """Reference implementation of run() in pure Python.
 
     Draws per sweep with the Generator API (n sites, n proposal normals, n
-    acceptance uniforms), steps in plain floats with math.exp, resyncs the
-    cached (s, t) at multiples of RESYNC_EVERY_SWEEPS and records by the
-    documented burn-in/thinning schedule.
+    acceptance uniforms), steps with oracle_step, resyncs the cached (s, t) at
+    multiples of RESYNC_EVERY_SWEEPS and records by the documented
+    burn-in/thinning schedule.
     """
-    params, cfg, rng = chain.params, chain.cfg, chain.rng
-    n = params.n
-    scale = cfg.proposal_scale * params.sigma
-    inv_two_sigma_sq = 1.0 / (2.0 * params.sigma**2)
+    cfg, rng = chain.cfg, chain.rng
+    n = chain.params.n
     records = []
     for i in range(1, sweeps + 1):
         sites = rng.integers(0, n, size=n).tolist()
         normals = rng.standard_normal(n).tolist()
         uniforms = rng.random(n).tolist()
-        x, s, t = chain.x, chain.s, chain.t
         for k, z, u in zip(sites, normals, uniforms):
-            old = float(x[k])
-            new = old + scale * z
-            s_new = s - old + new
-            t_new = t - old * old + new * new
-            if not t_new > 0.0:
-                continue
-            delta = (
-                s_new * s_new / (2.0 * t_new)
-                - t_new * inv_two_sigma_sq
-                - s * s / (2.0 * t)
-                + t * inv_two_sigma_sq
-            )
-            if delta >= 0.0 or u < math.exp(delta):
-                x[k] = new
-                s, t = s_new, t_new
-                chain.accepted += 1
-        chain.s, chain.t = s, t
-        chain.proposed += n
+            oracle_step(chain, k, z, u)
         chain.sweeps_done += 1
         if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
             chain.resync_stats()

@@ -214,7 +214,7 @@ class TestInversion:
             invert_char_fn(0.0, 5.0, 5, tol=1e-18)
 
 
-def oracle_inversion(x, y, n, tol, q=7.5):
+def oracle_inversion(x, y, n, tol):
     """Reference Fourier inversion that integrates both halves of the v axis.
 
     h_neg is built from _inner_cos_integral at -v, not from the conjugate of
@@ -228,11 +228,11 @@ def oracle_inversion(x, y, n, tol, q=7.5):
 
     @functools.cache
     def h_pos(v):
-        return cmath.exp(complex(0.0, -c * v)) * _inner_cos_integral(x, v, n, q)
+        return cmath.exp(complex(0.0, -c * v)) * _inner_cos_integral(x, v, n)
 
     @functools.cache
     def h_neg(v):
-        return cmath.exp(complex(0.0, c * v)) * _inner_cos_integral(x, -v, n, q)
+        return cmath.exp(complex(0.0, c * v)) * _inner_cos_integral(x, -v, n)
 
     eps_component = tol / 12.0
     if w == 0.0:
@@ -280,8 +280,8 @@ class TestInversionMatchesTwoHalfOracle:
     def test_negative_v_is_conjugate_mirror(self, n):
         for x in (0.0, 0.37, 2.9, 11.0):
             for v in np.concatenate([np.geomspace(1e-4, 1e3, 15), [0.5, 2.0, 37.25]]).tolist():
-                direct = _inner_cos_integral(x, v, n, 7.5)
-                mirrored = _inner_cos_integral(x, -v, n, 7.5)
+                direct = _inner_cos_integral(x, v, n)
+                mirrored = _inner_cos_integral(x, -v, n)
                 assert mirrored == direct.conjugate(), (x, v)
                 c = x * x / n
                 h_pos = cmath.exp(complex(0.0, -c * v)) * direct
@@ -291,8 +291,8 @@ class TestInversionMatchesTwoHalfOracle:
     def test_report_check_fails_when_the_mirror_breaks(self, monkeypatch):
         # one ulp off at negative v only, which the v >= 0 inversion never asks
         # for; the unpatched check passes in test_acceptance's full run
-        def skewed(x, v, n, q):
-            value = _inner_cos_integral(x, v, n, q)
+        def skewed(x, v, n):
+            value = _inner_cos_integral(x, v, n)
             return complex(np.nextafter(value.real, math.inf), value.imag) if v < 0.0 else value
 
         monkeypatch.setattr("cwsoc.verification._inner_cos_integral", skewed)
@@ -361,10 +361,10 @@ class TestPsiGeometry:
             psi_expansion_check(0.5)
 
     def test_grid_minimum_outside_small_box(self):
-        assert psi_grid_min_outside_box(0.1) > 0.5
+        assert psi_grid_min_outside_box() > 0.5
 
     def test_quadratic_lower_bound_on_calibrated_box(self):
-        assert psi_quadratic_lower_bound_margin(0.5) >= 0.0
+        assert psi_quadratic_lower_bound_margin() >= 0.0
 
 
 class TestKsStatistic:
@@ -463,6 +463,11 @@ class TestSuites:
     def test_meaningless_tolerance_value_rejected(self, value):
         with pytest.raises(DomainError, match="ratio_tol_400"):
             run_suites(["laplace"], tol_overrides={"ratio_tol_400": value})
+
+    @pytest.mark.parametrize("n_list", [[3, 4], [3, 6]])
+    def test_n_list_below_5_rejected(self, n_list):
+        with pytest.raises(DomainError, match="at least 5, got \\[3"):
+            run_suites(["density"], n_list=n_list)
 
     def test_laplace_suite_respects_n_list(self):
         reports = run_suites(["laplace"], n_list=[5, 6])
