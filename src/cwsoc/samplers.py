@@ -76,9 +76,8 @@ class SamplerConfig:
             raise DomainError(f"burn_in_sweeps must be a nonnegative integer, got {self.burn_in_sweeps!r}")
         if not (is_integer(self.thin_sweeps) and self.thin_sweeps >= 1):
             raise DomainError(f"thin_sweeps must be a positive integer, got {self.thin_sweeps!r}")
-        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be an integer that fits in 64 unsigned bits, got {self.seed!r}")
-        for name in ("burn_in_sweeps", "thin_sweeps", "seed"):
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
+        for name in ("burn_in_sweeps", "thin_sweeps"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
 
@@ -112,10 +111,18 @@ class ChainState:
         self.s, self.t = sum_stats(self.x)
 
 
+def _checked_seed(seed) -> int:
+    """seed as a Python int if it is an integer (bool excepted) that fits in 64
+    unsigned bits; DomainError otherwise."""
+    if not (is_integer(seed) and 0 <= seed < 2**64):
+        raise DomainError(f"seed must be an integer that fits in 64 unsigned bits, got {seed!r}")
+    return int(seed)
+
+
 def chain_rng(seed: int, chain_id: int = 0) -> np.random.Generator:
     """The documented stream-derivation rule: Philox keyed by (seed, chain_id)."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chain_id),)))
+        np.random.Philox(np.random.SeedSequence(entropy=_checked_seed(seed), spawn_key=(int(chain_id),)))
     )
 
 

@@ -24,7 +24,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import dblquad, quad
@@ -57,7 +57,9 @@ __all__ = [
     "CheckReport",
     "run_suites",
     "SUITE_NAMES",
-    "TOL_OVERRIDES",
+    "TOLERANCES",
+    "DENSITY_ORDERS",
+    "LAPLACE_ORDERS",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -215,7 +217,7 @@ def _qawf(f: Callable[[float], float], omega: float, kind: str, epsabs: float) -
     return out[0], out[1]
 
 
-def invert_char_fn(x: float, y: float, n: int, tol: float = 1e-6) -> InversionResult:
+def invert_char_fn(x: float, y: float, n: int, tol: float) -> InversionResult:
     """Density at (x, y) by 2-d quadrature of the Fourier-inversion integral.
 
     The characteristic function is integrable only for n >= 5.  The outer
@@ -588,7 +590,7 @@ def _gaussian_integral_by_quadrature(t: float, zeta: complex) -> complex:
     return complex(re, im)
 
 
-def suite_complex(quad_tol: float = 1e-8) -> list[CheckReport]:
+def suite_complex(tols: Mapping[str, float]) -> list[CheckReport]:
     reports: list[CheckReport] = []
     reports.append(_abs_check("complex/log_at_unity", abs(principal_log(1.0 + 0.0j)), 0.0, 1e-15))
     reports.append(
@@ -622,7 +624,7 @@ def suite_complex(quad_tol: float = 1e-8) -> list[CheckReport]:
                     f"complex/gaussian_integral[t={t:g},zeta={zeta:g}]",
                     abs(closed - oracle),
                     0.0,
-                    quad_tol,
+                    tols["complex_quad_tol"],
                     "closed form vs adaptive quadrature, envelope-scaled cutoff",
                 )
             )
@@ -683,11 +685,8 @@ def _closed_form_mass(n: int) -> float:
     return 2.0 * val
 
 
-def suite_density(
-    n_values: Iterable[int] = (5, 6, 8),
-    inversion_tol: float = 1e-3,
-    mass_tol: float = 1e-6,
-) -> list[CheckReport]:
+def suite_density(n_values: Iterable[int], tols: Mapping[str, float]) -> list[CheckReport]:
+    inversion_tol = tols["inversion_tol"]
     reports: list[CheckReport] = []
     for n in n_values:
         probes = inversion_probe_points(n)
@@ -739,19 +738,14 @@ def suite_density(
             "density/closed_form_total_mass[n=6]",
             _closed_form_mass(6),
             1.0,
-            mass_tol,
+            tols["density_mass_tol"],
             "2-d adaptive quadrature over the support",
         )
     )
     return reports
 
 
-def suite_laplace(
-    n_norm_values: Iterable[int] = tuple(range(5, 31)),
-    cross_route_tol: float = 1e-6,
-    ratio_tol_100: float = 0.15,
-    ratio_tol_400: float = 0.08,
-) -> list[CheckReport]:
+def suite_laplace(n_values: Iterable[int], tols: Mapping[str, float]) -> list[CheckReport]:
     reports: list[CheckReport] = []
     reports.append(_abs_check("laplace/psi_minimum_value", psi(0.0, 1.0), 0.5, 1e-14))
     (g_x, g_y), (h_xx, h_yy, h_xy) = psi_quadratic_expansion(1e-4)
@@ -784,7 +778,7 @@ def suite_laplace(
             f"calibrated delta* = {DELTA_STAR}; min of psi - 1/2 - r^2/8 on the box is {margin!r}",
         )
     )
-    for n in n_norm_values:
+    for n in n_values:
         est = estimate_C_n(n)
         shortfall = max(0.0 - est.log_Z_n, est.log_Z_n - 0.5 * n, 0.0)
         reports.append(
@@ -802,14 +796,14 @@ def suite_laplace(
             "laplace/normalization_cross_route[n=05]",
             math.exp(est5.log_C_n),
             math.exp(raw5),
-            cross_route_tol,
+            tols["norm_cross_tol"],
             "rescaled log-sum-exp grid vs raw-coordinate adaptive quadrature",
         )
     )
     ratio_100 = laplace_ratio(100)
     ratio_400 = laplace_ratio(400)
-    reports.append(_abs_check("laplace/asymptotic_ratio[n=100]", ratio_100, 1.0, ratio_tol_100))
-    reports.append(_abs_check("laplace/asymptotic_ratio[n=400]", ratio_400, 1.0, ratio_tol_400))
+    reports.append(_abs_check("laplace/asymptotic_ratio[n=100]", ratio_100, 1.0, tols["ratio_tol_100"]))
+    reports.append(_abs_check("laplace/asymptotic_ratio[n=400]", ratio_400, 1.0, tols["ratio_tol_400"]))
     reports.append(
         _margin_check(
             "laplace/asymptotic_ratio_monotone",
@@ -823,15 +817,19 @@ def suite_laplace(
 
 SUITE_NAMES = ("complex", "density", "laplace")
 
-# Each tolerance override: the suite it tunes and that suite's keyword for it.
-TOL_OVERRIDES = {
-    "complex_quad_tol": ("complex", "quad_tol"),
-    "inversion_tol": ("density", "inversion_tol"),
-    "density_mass_tol": ("density", "mass_tol"),
-    "norm_cross_tol": ("laplace", "cross_route_tol"),
-    "ratio_tol_100": ("laplace", "ratio_tol_100"),
-    "ratio_tol_400": ("laplace", "ratio_tol_400"),
+# Default of each verification tolerance, by the name `--tol` overrides it with.
+TOLERANCES = {
+    "complex_quad_tol": 1e-8,  # complex/gaussian_integral[...]
+    "inversion_tol": 1e-3,  # density/inversion_vs_closed_form[n], density/inversion_outside_support[n]
+    "density_mass_tol": 1e-6,  # density/closed_form_total_mass[n=6]
+    "norm_cross_tol": 1e-6,  # laplace/normalization_cross_route[n=05]
+    "ratio_tol_100": 0.15,  # laplace/asymptotic_ratio[n=100]
+    "ratio_tol_400": 0.08,  # laplace/asymptotic_ratio[n=400]
 }
+
+# Default orders n of the density suite and of the laplace suite's normalization bounds.
+DENSITY_ORDERS = (5, 6, 8)
+LAPLACE_ORDERS = range(5, 31)
 
 
 def run_suites(
@@ -841,37 +839,38 @@ def run_suites(
 ) -> list[CheckReport]:
     """Run the named verification suites and merge reports in name order.
 
-    A nonempty n_list replaces the orders of the density and laplace suites;
-    every order in it must be at least MIN_DENSITY_N.
+    tol_overrides replaces entries of TOLERANCES.  A nonempty n_list replaces
+    the orders of the density and laplace suites; its orders must be distinct
+    and at least MIN_DENSITY_N.
     """
     if isinstance(names, str):
         names = [names]
-    tols = dict(tol_overrides or {})
-    unknown = set(tols) - set(TOL_OVERRIDES)
+    overrides = tol_overrides or {}
+    unknown = set(overrides) - set(TOLERANCES)
     if unknown:
-        raise DomainError(f"unknown tolerance overrides: {sorted(unknown)}; known: {sorted(TOL_OVERRIDES)}")
+        raise DomainError(f"unknown tolerance overrides: {sorted(unknown)}; known: {sorted(TOLERANCES)}")
     requested = list(names)
     if "all" in requested:
         requested = list(SUITE_NAMES)
     bad = [s for s in requested if s not in SUITE_NAMES]
     if bad:
         raise DomainError(f"unknown suites: {bad}; known: {list(SUITE_NAMES)} or 'all'")
-    kwargs: dict[str, dict] = {suite: {} for suite in SUITE_NAMES}
-    for name, value in tols.items():
+    for name, value in overrides.items():
         if not 0.0 < value < math.inf:
             raise DomainError(f"tolerance override {name} must be finite and positive, got {value!r}")
-        suite, keyword = TOL_OVERRIDES[name]
-        kwargs[suite][keyword] = value
+    tols = {**TOLERANCES, **overrides}
     if n_list:
         small = [m for m in n_list if m < MIN_DENSITY_N]
         if small:
             raise DomainError(f"n-list orders must be at least {MIN_DENSITY_N}, got {small}")
-        kwargs["density"]["n_values"] = kwargs["laplace"]["n_norm_values"] = tuple(n_list)
+        repeated = sorted({m for m in n_list if n_list.count(m) > 1})
+        if repeated:
+            raise DomainError(f"n-list orders must be distinct, got {repeated} more than once")
     reports: list[CheckReport] = []
     if "complex" in requested:
-        reports.extend(suite_complex(**kwargs["complex"]))
+        reports.extend(suite_complex(tols))
     if "density" in requested:
-        reports.extend(suite_density(**kwargs["density"]))
+        reports.extend(suite_density(n_list or DENSITY_ORDERS, tols))
     if "laplace" in requested:
-        reports.extend(suite_laplace(**kwargs["laplace"]))
+        reports.extend(suite_laplace(n_list or LAPLACE_ORDERS, tols))
     return sorted(reports, key=lambda r: r.name)

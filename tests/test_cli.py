@@ -16,6 +16,7 @@ import pytest
 import cwsoc
 from cwsoc.cli import main
 from cwsoc.limit_law import QuarticLaw
+from cwsoc.verification import TOLERANCES
 
 
 def read(path):
@@ -173,6 +174,17 @@ class TestLimit:
     def test_out_of_domain_quantile_is_usage_error(self):
         assert main(["limit", "--quantile", "1.5"]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_unsigned_bits_exits_2(self, capsys, seed):
+        # the rule simulate's seeds follow
+        assert main(["limit", "--sample", "3", "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "64 unsigned bits" in err
+
+    def test_largest_seed_accepted(self, capsys):
+        assert main(["limit", "--sample", "3", "--seed", str(2**64 - 1)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
 
 class TestVerify:
     def test_complex_suite_report_and_exit(self, tmp_path, capsys):
@@ -212,6 +224,12 @@ class TestVerify:
         assert "at least 5" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_repeated_n_list_order_exits_2_without_report(self, tmp_path, capsys):
+        out = tmp_path / "verify"
+        assert main(["verify", "--suite", "density", "--n-list", "5,5", "--out", str(out)]) == 2
+        assert "distinct, got [5]" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_tol_override_applies(self, tmp_path):
         # an absurdly tight oracle tolerance must flip checks to FAIL -> exit 1
         code = main(["verify", "--suite", "complex", "--tol", "complex_quad_tol=1e-18",
@@ -219,6 +237,52 @@ class TestVerify:
         assert code == 1
         reports = json.loads(read(tmp_path / "report.json"))
         assert any(not item["pass"] for item in reports)
+
+
+# Each --tol name: the suite it tunes and the prefixes of the report rows it sets.
+TOL_ROWS = {
+    "complex_quad_tol": ("complex", ("complex/gaussian_integral[",)),
+    "inversion_tol": ("density", ("density/inversion_vs_closed_form[", "density/inversion_outside_support[")),
+    "density_mass_tol": ("density", ("density/closed_form_total_mass[",)),
+    "norm_cross_tol": ("laplace", ("laplace/normalization_cross_route[",)),
+    "ratio_tol_100": ("laplace", ("laplace/asymptotic_ratio[n=100]",)),
+    "ratio_tol_400": ("laplace", ("laplace/asymptotic_ratio[n=400]",)),
+}
+
+
+def _report_tolerances(out, suite, *flags):
+    n_list = [] if suite == "complex" else ["--n-list", "5"]
+    assert main(["verify", "--suite", suite, *n_list, *flags, "--out", str(out)]) == 0
+    return {item["name"]: item["tolerance"] for item in json.loads(read(out / "report.json"))}
+
+
+@pytest.fixture(scope="module")
+def default_tolerances(tmp_path_factory):
+    """Row name -> tolerance of each suite's report with no --tol."""
+    return {
+        suite: _report_tolerances(tmp_path_factory.mktemp(suite), suite)
+        for suite in sorted({suite for suite, _ in TOL_ROWS.values()})
+    }
+
+
+class TestEveryTolNameReachesItsChecks:
+    def test_every_tolerance_has_its_rows(self):
+        assert set(TOL_ROWS) == set(TOLERANCES)
+
+    @pytest.mark.parametrize("name", sorted(TOL_ROWS))
+    def test_override_sets_its_rows_and_no_others(self, tmp_path, default_tolerances, name):
+        suite, prefixes = TOL_ROWS[name]
+        value = 3.0 * TOLERANCES[name]
+        got = _report_tolerances(tmp_path, suite, "--tol", f"{name}={value!r}")
+        defaults = default_tolerances[suite]
+        assert set(got) == set(defaults)
+        mine = {row for row in got if row.startswith(prefixes)}
+        assert mine, f"{name} sets no row of the {suite} report"
+        for row in mine:
+            assert defaults[row] == TOLERANCES[name], row
+            assert got[row] == value, row
+        for row in set(got) - mine:
+            assert got[row] == defaults[row], row
 
 
 class TestConvergence:
@@ -330,6 +394,21 @@ class TestConfigPrecedence:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sigma 2.0\n")
         assert main(["simulate", "--n", "8", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_unknown_key_exits_2_naming_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("sigma = 2.0\nsweep=3\n")
+        out = tmp_path / "x"
+        assert main(["simulate", "--n", "8", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:2: unknown key 'sweep'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_of_another_command_accepted(self, tmp_path, capsys):
+        # one config file may serve simulate and limit; limit ignores n and chains
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("n = 8\nchains = 2\nburn-in = 3\nseed = 4\n")
+        assert main(["limit", "--sample", "2", "--config", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CWSOC_SEED", "314")

@@ -54,6 +54,14 @@ class TestSamplerConfig:
         with pytest.raises(DomainError, match=field):
             SamplerConfig(**{field: bad})
 
+    @pytest.mark.parametrize("bad", [3.7, True, -1, 2**64, "3"])
+    def test_chain_rng_follows_the_config_seed_rule(self, bad):
+        with pytest.raises(DomainError, match="64 unsigned bits"):
+            chain_rng(bad, 0)
+
+    def test_chain_rng_takes_numpy_integer_seeds(self):
+        assert chain_rng(np.uint64(2**64 - 1), 0).random() == chain_rng(2**64 - 1, 0).random()
+
 
 class TestInitChain:
     def test_deterministic_given_seed(self):

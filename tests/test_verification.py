@@ -33,7 +33,7 @@ from cwsoc.verification import (
     psi_quadratic_lower_bound_margin,
     run_suites,
 )
-from cwsoc.verification import _TWO_PI, _inner_cos_integral, _qawf, suite_density
+from cwsoc.verification import TOLERANCES, _TWO_PI, _inner_cos_integral, _qawf, suite_density
 
 off_cut_complex = st.builds(
     complex,
@@ -205,7 +205,7 @@ class TestInversion:
 
     def test_small_n_rejected(self):
         with pytest.raises(UnsupportedOrderError):
-            invert_char_fn(0.0, 4.0, 4)
+            invert_char_fn(0.0, 4.0, 4, tol=1e-4)
 
     def test_unreachable_tolerance_fails_loudly(self):
         from cwsoc.verification import InversionAccuracyError
@@ -296,7 +296,7 @@ class TestInversionMatchesTwoHalfOracle:
             return complex(np.nextafter(value.real, math.inf), value.imag) if v < 0.0 else value
 
         monkeypatch.setattr("cwsoc.verification._inner_cos_integral", skewed)
-        (report,) = [r for r in suite_density(n_values=(5,)) if "conjugate_mirror" in r.name]
+        (report,) = [r for r in suite_density((5,), TOLERANCES) if "conjugate_mirror" in r.name]
         assert report.name == "density/inversion_conjugate_mirror[n=5]"
         assert report.tolerance == 0.0 and report.value > 0.0
         assert not report.passed
@@ -468,6 +468,10 @@ class TestSuites:
     def test_n_list_below_5_rejected(self, n_list):
         with pytest.raises(DomainError, match="at least 5, got \\[3"):
             run_suites(["density"], n_list=n_list)
+
+    def test_repeated_n_list_order_rejected(self):
+        with pytest.raises(DomainError, match="distinct, got \\[5\\]"):
+            run_suites(["density"], n_list=[5, 6, 5])
 
     def test_laplace_suite_respects_n_list(self):
         reports = run_suites(["laplace"], n_list=[5, 6])
