@@ -219,8 +219,11 @@ def _parse_tol_overrides(pairs: list[str] | None) -> dict[str, float]:
         key, sep, value = pair.partition("=")
         if not sep:
             raise UsageError(f"--tol expects NAME=VALUE, got {pair!r}")
+        key = key.strip()
+        if key in out:
+            raise UsageError(f"--tol name {key!r} given more than once")
         try:
-            out[key.strip()] = float(value)
+            out[key] = float(value)
         except ValueError as exc:
             raise UsageError(f"--tol value in {pair!r} is not a float") from exc
     return out
@@ -355,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=(*SUITE_NAMES, "all"), default="all")
     ver.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
     ver.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
-                     help="tolerance override, may be repeated; names and defaults: "
+                     help="tolerance override, once per name; names and defaults: "
                      + ", ".join(f"{name}={value:g}" for name, value in TOLERANCES.items()))
     ver.add_argument("--out", default=".", help="directory for report.json")
     ver.set_defaults(func=cmd_verify)

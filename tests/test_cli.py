@@ -230,6 +230,15 @@ class TestVerify:
         assert "distinct, got [5]" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_repeated_tol_name_exits_2_without_report(self, tmp_path, capsys):
+        out = tmp_path / "verify"
+        argv = ["verify", "--suite", "complex", "--tol", "complex_quad_tol=1e-18",
+                "--tol", "complex_quad_tol=1e-8", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'complex_quad_tol' given more than once" in err
+        assert not (out / "report.json").exists()
+
     def test_tol_override_applies(self, tmp_path):
         # an absurdly tight oracle tolerance must flip checks to FAIL -> exit 1
         code = main(["verify", "--suite", "complex", "--tol", "complex_quad_tol=1e-18",

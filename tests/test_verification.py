@@ -302,6 +302,25 @@ class TestInversionMatchesTwoHalfOracle:
         assert not report.passed
 
 
+class TestInnerRuleMatchesClosedForm:
+    """The inner u-rule of the inversion against the closed Gaussian form.
+
+    int_R e^{-ixu} Phi_n(u, v) du = G(-x, n/z) * z^{-n/2} with z = 1 - 2iv and
+    G = complex_gaussian_integral; the error is measured in units of
+    int_R |Phi_n(u, v)| du = sqrt(2 pi (1+4v^2)/n) * (1+4v^2)^{-n/4}.
+    """
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 16, 64])
+    def test_within_1e_10_of_the_modulus_integral(self, n):
+        probes = [x for x, _ in inversion_probe_points(n)] + [1.5 * math.sqrt(n * 0.8 * n)]
+        for x in probes:
+            for v in [0.0, *np.geomspace(1e-4, 1e3, 22).tolist()]:
+                z = complex(1.0, -2.0 * v)
+                exact = complex_gaussian_integral(-x, n / z) * cmath.exp(-0.5 * n * principal_log(z))
+                modulus_integral = math.sqrt(_TWO_PI * (1.0 + 4.0 * v * v) / n) * (1.0 + 4.0 * v * v) ** (-n / 4.0)
+                assert abs(_inner_cos_integral(x, v, n) - exact) <= 1e-10 * modulus_integral, (x, v)
+
+
 class TestNormalization:
     def test_identity_between_constants_holds_by_construction(self):
         from scipy.special import gammaln
