@@ -1,5 +1,6 @@
-/* The Metropolis kernel of cwsoc.samplers, compiled.  It exports one entry,
- * cw_sweeps.
+/* The compiled kernels of cwsoc.  They export two entries: cw_sweeps, the
+ * Metropolis sweeps of cwsoc.samplers, and cw_inner_cos, the inner u-rule of
+ * the Fourier inversion in cwsoc.verification.
  *
  * cw_sweeps runs whole sweeps.  Each sweep draws its n sites, n proposal
  * normals and n acceptance uniforms on the chain's own numpy bit generator
@@ -12,8 +13,16 @@
  * those of the reference loop in the tests, in the same order, and it calls
  * the C library's exp as math.exp does; built without FMA contraction or
  * -ffast-math, it accepts and rejects exactly as that loop does.
+ *
+ * cw_inner_cos sums a composite Gauss-Legendre rule for
+ * 2 int_0^U cos(xu) Phi(u) du from values of Phi the caller evaluated at a
+ * few anchor nodes; it fills in the other nodes by the Gaussian recurrence
+ * described at its definition.  Its complex products and quotients are
+ * written out in real arithmetic so that conjugate anchors give the exact
+ * conjugate sum.
  */
 
+#include <float.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -87,4 +96,115 @@ int64_t cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double *st, int64_t sw
     free(normals);
     free(uniforms);
     return accepted;
+}
+
+/* A complex number laid out as numpy's complex128: real part, then imaginary. */
+typedef struct {
+    double re, im;
+} cw_complex;
+
+static cw_complex cw_mul(cw_complex a, cw_complex b)
+{
+    return (cw_complex){a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+}
+
+/* a / b by Smith's algorithm, which squares no part of b: anchors far below
+ * sqrt(DBL_MIN) in modulus still divide. */
+static cw_complex cw_div(cw_complex a, cw_complex b)
+{
+    if (fabs(b.re) >= fabs(b.im)) {
+        double r = b.im / b.re;
+        double d = b.re + b.im * r;
+        return (cw_complex){(a.re + a.im * r) / d, (a.im - a.re * r) / d};
+    }
+    double r = b.re / b.im;
+    double d = b.re * r + b.im;
+    return (cw_complex){(a.re * r + a.im) / d, (a.im * r - a.re) / d};
+}
+
+static bool cw_is_zero(cw_complex a)
+{
+    return a.re == 0.0 && a.im == 0.0;
+}
+
+/* Whether either part of a is at least DBL_MIN in magnitude: below that, the
+ * parts carry too few bits to divide by. */
+static bool cw_is_normal(cw_complex a)
+{
+    return fabs(a.re) >= DBL_MIN || fabs(a.im) >= DBL_MIN;
+}
+
+/* sum_k cos(x u_kj) Phi(u_kj) over the panels of column j; see cw_inner_cos. */
+static cw_complex cw_inner_column(const double *u, const cw_complex *anchor, int64_t panels, int64_t nodes,
+                                  int64_t block, int64_t j, double x, cw_complex d, cw_complex turn)
+{
+    cw_complex sum = {0.0, 0.0};
+    cw_complex f = {0.0, 0.0};
+    cw_complex r = {0.0, 0.0};
+    cw_complex e = {0.0, 0.0};
+    for (int64_t first = 0; first < panels; first += block) {
+        int64_t at = 3 + 2 * nodes * (first / block) + j;
+        int64_t len = panels - first < block ? panels - first : block;
+        bool anchored = cw_is_normal(anchor[at]) && cw_is_normal(anchor[at + nodes]);
+        for (int64_t k = 0; k < len; k++) {
+            if (anchored && k < 2) {
+                int64_t i = at + k * nodes;
+                if (k == 1) {
+                    r = cw_div(anchor[i], f);
+                }
+                f = anchor[i];
+                e = (cw_complex){cos(x * u[i]), sin(x * u[i])};
+            } else {
+                r = cw_mul(r, d);
+                f = cw_mul(f, r);
+                e = cw_mul(e, turn);
+            }
+            if (cw_is_zero(f)) {
+                return sum;
+            }
+            sum.re += e.re * f.re;
+            sum.im += e.re * f.im;
+        }
+    }
+    return sum;
+}
+
+/* Writes to out[0], out[1] the complex
+ *     h * sum_j weights[j] * sum_k cos(x u_kj) Phi(u_kj),
+ * the rule over `panels` equal panels of width h whose node j in panel k is
+ * u_kj = h (k + 1/2 + xi_j/2), where xi_j is the j-th of `nodes` reference
+ * nodes.  The panels come in blocks of `block`.  u and anchor hold the
+ * anchors, u and Phi(u), in this order: 0, h, 2h, then for every block the `nodes`
+ * nodes of its first panel and those of its second (present even where the
+ * block has one panel, and then unused).
+ *
+ * Phi(u) = exp(-a u^2 + b) with Re a > 0, so along a column j the ratio
+ * R = Phi(u + h) / Phi(u) obeys R(u + h) = R(u) D with the constant
+ * D = exp(-2 a h^2) = Phi(2h) Phi(0) / Phi(h)^2, and |R|, |D| < 1.  Each
+ * block takes its first two values of a column from the anchors, and the
+ * rest by that recurrence, with e^{ixu} rotated by e^{ixh}; re-anchoring
+ * every block keeps the rounding the recurrence accumulates small.  Anchors
+ * below the normal range are too coarse to divide by: a block whose two
+ * anchors of the column are not both normal runs the previous block's
+ * recurrence on, and D is 0 where Phi(h) or Phi(2h) is not normal, since
+ * every node past 2h is then smaller still.  |Phi| falls as u grows, so a
+ * column ends at its first value that is zero. */
+void cw_inner_cos(const double *u, const cw_complex *anchor, int64_t panels, int64_t nodes, int64_t block,
+                  double x, const double *weights, double *out)
+{
+    double h = u[1];
+    cw_complex d = {0.0, 0.0};
+    if (cw_is_normal(anchor[1]) && cw_is_normal(anchor[2])) {
+        d = cw_mul(cw_div(anchor[0], anchor[1]), cw_div(anchor[2], anchor[1]));
+    }
+    cw_complex turn = {cos(x * h), sin(x * h)};
+    double sum_re = 0.0;
+    double sum_im = 0.0;
+    for (int64_t j = 0; j < nodes; j++) {
+        cw_complex col = cw_inner_column(u, anchor, panels, nodes, block, j, x, d, turn);
+        sum_re += weights[j] * col.re;
+        sum_im += weights[j] * col.im;
+    }
+    out[0] = h * sum_re;
+    out[1] = h * sum_im;
 }

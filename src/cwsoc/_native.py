@@ -1,4 +1,5 @@
-"""Builds and loads the compiled Metropolis kernel (``_kernel.c``) on first use.
+"""Builds and loads the compiled kernels (``_kernel.c``) on first use: the
+Metropolis sweeps of ``samplers`` and the inner u-rule of ``verification``.
 
 The library is compiled with the C compiler ``cc`` against numpy's shipped
 static ``numpy/random/lib/libnpyrandom.a``, so its draws run through the same
@@ -34,8 +35,8 @@ _lib: ctypes.CDLL | None = None
 
 
 class KernelBuildError(RuntimeError):
-    """The compiled Metropolis kernel could not be built; the message carries
-    the compiler's stderr."""
+    """The compiled kernels could not be built; the message carries the
+    compiler's stderr."""
 
 
 def _library_path() -> Path:
@@ -82,5 +83,7 @@ def kernel() -> ctypes.CDLL:
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         lib.cw_sweeps.argtypes = [ptr, ptr, i64, ptr, i64, f64, f64, ptr, ptr]
         lib.cw_sweeps.restype = i64
+        lib.cw_inner_cos.argtypes = [ptr, ptr, i64, i64, i64, f64, ptr, ptr]
+        lib.cw_inner_cos.restype = None
         _lib = lib
     return _lib

@@ -10,7 +10,12 @@ Design notes
   Fourier-inversion integral uses QUADPACK's cosine/sine transforms on the
   outer axis and composite Gauss-Legendre panels (sized by a phase budget) on
   the inner axis; the inner truncation radius comes from the explicit modulus
-  bound |Phi_n(u, v)| = exp(-n u^2 / (2(1+4v^2))) * (1+4v^2)^{-n/4}.
+  bound |Phi_n(u, v)| = exp(-n u^2 / (2(1+4v^2))) * (1+4v^2)^{-n/4}.  The
+  inner rule evaluates char_fn only at anchor nodes, re-anchored every
+  BLOCK_PANELS panels, and the compiled kernel (``_kernel.c``, loaded on the
+  first inversion) fills in the other nodes by the exact Gaussian-in-u
+  recurrence of Phi_n; the tests keep the node-by-node numpy rule as its
+  oracle.
   Phi_n(u, -v) = conj Phi_n(u, v), so only the v >= 0 half is integrated and
   the inverted density has no imaginary part to report.
 * The principal complex logarithm is implemented with the half-angle
@@ -21,6 +26,7 @@ Design notes
 from __future__ import annotations
 
 import cmath
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -170,32 +176,66 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 # The inner u-integral of the Fourier inversion stops at q = Q_WIDTHS Gaussian
 # widths of |Phi_n|, on equal panels of PANEL_NODES Gauss-Legendre nodes that
-# each span at most PANEL_PHASE radians of the integrand's total phase.
+# each span at most PANEL_PHASE radians of the integrand's total phase.  The
+# compiled rule re-anchors its recurrence at the start of every block of
+# BLOCK_PANELS panels: run over all panels from one anchor pair, the
+# recurrence drifted to 2.0e-10 of int |Phi_n| du from the closed form at
+# (n=64, x=21.4, v=1e3), against 1.5e-11 for the node-by-node rule.
 Q_WIDTHS = 7.5
 PANEL_NODES = 8
 PANEL_PHASE = 8.0
+BLOCK_PANELS = 32
+
+
+@functools.cache
+def _anchor_offsets(blocks: int) -> np.ndarray:
+    """u / width of the anchors of the inner rule: 0, 1, 2, then the nodes of
+    the first two panels of each of `blocks` blocks, in cw_inner_cos's order."""
+    ref_nodes, _ = _gauss_legendre(PANEL_NODES)
+    panels = BLOCK_PANELS * np.arange(blocks)[:, None] + np.arange(2)
+    return np.concatenate([[0.0, 1.0, 2.0], (panels[:, :, None] + (0.5 + 0.5 * ref_nodes)).ravel()])
 
 
 def _inner_cos_integral(x: float, v: float, n: int) -> complex:
     """int_R e^{-ixu} Phi_n(u, v) du = 2 int_0^U cos(xu) Phi_n(u, v) du.
 
     U = q * sqrt((1+4v^2)/n) truncates at q Gaussian widths of |Phi_n|.
-    [0, U] is cut into 6 + floor(phase / PANEL_PHASE) equal panels, where
-    phase = |x| U + q^2 |v| is the total phase of the integrand on [0, U], so
-    each PANEL_NODES-node Gauss-Legendre panel spans at most PANEL_PHASE
-    radians, about 1.3 oscillation periods.  Node j has the same weight in
-    every panel, so the panels are summed node by node before weighting.
+    [0, U] is cut into 6 + floor(phase / PANEL_PHASE) equal panels of width h,
+    where phase = |x| U + q^2 |v| is the total phase of the integrand on
+    [0, U], so each PANEL_NODES-node Gauss-Legendre panel spans at most
+    PANEL_PHASE radians, about 1.3 oscillation periods.
+
+    char_fn is evaluated only at anchors: u = 0, h, 2h and the nodes of the
+    first two panels of every block of BLOCK_PANELS panels.  The compiled
+    cw_inner_cos (``_kernel.c``) fills in the other nodes of each block by
+    the exact Gaussian-in-u recurrence Phi(u + h) = Phi(u) R, R <- R D with
+    D = Phi(2h) Phi(0) / Phi(h)^2, rotates e^{ixu} by e^{ixh}, and sums the
+    panels node by node before weighting.  Re-anchoring every block bounds
+    the rounding the recurrence accumulates.  On the probe grid of the tests,
+    the result stays within 1e-12 of int |Phi_n(u, v)| du of the same rule
+    evaluated by numpy from char_fn at every node, its reference oracle, and
+    within 1e-10 of that integral of the closed Gaussian form.  Blocks whose
+    anchors fall below the normal range run the previous block's recurrence
+    on, and where every anchor underflows the result is 0j, as the
+    node-by-node rule gives.  Negating v conjugates every anchor and so, bit
+    for bit, the result.
     """
+    # imported here so that importing this module neither loads nor builds the kernel
+    from ._native import kernel
+
     u_scale = math.sqrt((1.0 + 4.0 * v * v) / n)
     upper = Q_WIDTHS * u_scale
     phase = abs(x) * upper + Q_WIDTHS * Q_WIDTHS * abs(v)
     panels = 6 + int(phase / PANEL_PHASE)
-    ref_nodes, ref_weights = _gauss_legendre(PANEL_NODES)
     width = upper / panels
-    u = width * (np.arange(panels)[:, None] + (0.5 + 0.5 * ref_nodes)).ravel()
-    f = np.cos(x * u) * char_fn(u, v, n)
-    # 2 * (width / 2) * sum_j w_j sum_k f(u_kj)
-    return complex(width * (f.reshape(panels, PANEL_NODES).sum(axis=0) * ref_weights).sum())
+    u = width * _anchor_offsets(-(-panels // BLOCK_PANELS))
+    phi = char_fn(u, v, n)
+    out = (ctypes.c_double * 2)()
+    kernel().cw_inner_cos(
+        u.ctypes.data, phi.ctypes.data, panels, PANEL_NODES, BLOCK_PANELS, float(x),
+        _gauss_legendre(PANEL_NODES)[1].ctypes.data, out,
+    )
+    return complex(out[0], out[1])
 
 
 def _abs_cf_v_integral(n: int) -> float:
@@ -316,6 +356,7 @@ class NormalizationEstimate:
 CUTOFF_MARGIN = 60.0
 
 
+@functools.cache
 def _rescaled_cutoffs(n: int) -> tuple[float, float]:
     """Window [0, X] x [., y_hi] outside which exp(-n(psi - 1/2)) < e^{-CUTOFF_MARGIN}.
 
@@ -785,8 +826,8 @@ def suite_laplace(n_values: Iterable[int], tols: Mapping[str, float]) -> list[Ch
             f"calibrated delta* = {DELTA_STAR}; min of psi - 1/2 - r^2/8 on the box is {margin!r}",
         )
     )
-    for n in n_values:
-        est = estimate_C_n(n)
+    estimates = {n: estimate_C_n(n) for n in n_values}
+    for n, est in estimates.items():
         shortfall = max(0.0 - est.log_Z_n, est.log_Z_n - 0.5 * n, 0.0)
         reports.append(
             _margin_check(
@@ -796,7 +837,7 @@ def suite_laplace(n_values: Iterable[int], tols: Mapping[str, float]) -> list[Ch
                 f"quadrature error bound {est.quadrature_error_bound:.2e}",
             )
         )
-    est5 = estimate_C_n(5)
+    est5 = estimates[5] if 5 in estimates else estimate_C_n(5)
     raw5 = log_C_n_by_raw_quadrature(5)
     reports.append(
         _rel_check(

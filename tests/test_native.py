@@ -1,4 +1,4 @@
-"""Tests for building, caching and loading the compiled Metropolis kernel."""
+"""Tests for building, caching and loading the compiled kernels."""
 
 import os
 import subprocess
@@ -30,6 +30,24 @@ from cwsoc.model import ModelParams
 from cwsoc.samplers import SamplerConfig, init_chain, run
 chain = init_chain(ModelParams(5, 1.0), SamplerConfig(burn_in_sweeps=0, seed=4))
 print(repr(run(chain, 30)[-1]))
+"""
+
+
+# Runs, in one process, every command but simulate, convergence and the
+# density suite, and fails if any of them loaded the kernel.
+RUN_WITHOUT_KERNEL = """
+import sys
+from cwsoc.cli import main
+out, samples = sys.argv[1:3]
+for argv in (
+    ["verify", "--suite", "complex", "--out", out],
+    ["verify", "--suite", "laplace", "--out", out],
+    ["limit", "--cdf", "0.5"],
+    ["plotdata", "--input", samples, "--bins", "4", "--out", out],
+):
+    assert main(argv) == 0, argv
+    native = sys.modules.get("cwsoc._native")
+    assert native is None or native._lib is None, argv
 """
 
 
@@ -111,6 +129,11 @@ class TestCache:
         code = "import sys, cwsoc.cli, cwsoc.verification; print('cwsoc._native' in sys.modules)"
         assert finish(python("-c", code)) == "False\n"
 
+    def test_commands_that_need_no_kernel_leave_it_unloaded(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("chain,sweep,s,t,s_scaled,t_scaled\n0,1,0.5,4.0,0.1,1.0\n0,2,-0.5,4.5,-0.1,1.1\n")
+        finish(python("-c", RUN_WITHOUT_KERNEL, str(tmp_path / "out"), str(samples)))
+
 
 class TestBuildFailure:
     @pytest.fixture
@@ -142,3 +165,9 @@ class TestBuildFailure:
         argv = ["simulate", "--n", "8", "--sweeps", "5", "--chains", chains, "--out", str(tmp_path / "run")]
         assert main(argv) == 1
         assert "fake-cc: out of order" in capsys.readouterr().err
+
+    def test_verify_density_exits_1_with_compiler_message(self, tmp_path, capsys, failing_compiler):
+        out = tmp_path / "run"
+        assert main(["verify", "--suite", "density", "--n-list", "5", "--out", str(out)]) == 1
+        assert "fake-cc: out of order" in capsys.readouterr().err
+        assert not (out / "report.json").exists()

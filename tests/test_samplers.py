@@ -277,6 +277,36 @@ class TestRunMatchesPythonOracle:
         assert [r.sweep for r in records] == list(range(RESYNC_EVERY_SWEEPS - 3, sweeps + 1, 2))
         assert_same_chain(compiled, reference)
 
+    def test_delta_order_decides_a_boundary_step(self):
+        # The first (site, normal, uniform) of seed 0's stream at n = 2 is
+        # (0, 0.4575..., 0.8209...).  Spin 0 sits at -scale*z/2, so the
+        # proposal flips its sign and t barely moves, and spin 1 was tuned ulp
+        # by ulp until exp(delta) of the promised order falls below u while
+        # that of the regrouped order (s_new^2/(2 t_new) - s^2/(2t)) -
+        # (t_new - t) c does not: only the promised order rejects the step.
+        x = [-0.5444479443636325, -5.464699418003765]
+        params, cfg = ModelParams(2, 1.0), SamplerConfig(burn_in_sweeps=0, seed=0)
+
+        def chain():
+            s, t = sum_stats(x)
+            return ChainState(np.array(x), s, t, params, cfg, chain_rng(cfg.seed))
+
+        compiled, reference = chain(), chain()
+        draws = chain_rng(cfg.seed)
+        k, z, u = int(draws.integers(0, 2, size=2)[0]), draws.standard_normal(2)[0], draws.random(2)[0]
+        old, c = x[k], 0.5
+        new = old + cfg.proposal_scale * z
+        s, t = compiled.s, compiled.t
+        s_new, t_new = s - old + new, t - old * old + new * new
+        promised = s_new * s_new / (2.0 * t_new) - t_new * c - s * s / (2.0 * t) + t * c
+        regrouped = (s_new * s_new / (2.0 * t_new) - s * s / (2.0 * t)) - (t_new - t) * c
+        assert math.exp(promised) <= u < math.exp(regrouped) < 1.0
+
+        records = run(compiled, 1)
+        assert repr(records) == repr(oracle_run(reference, 1))
+        assert_same_chain(compiled, reference)
+        assert oracle_step(chain(), k, z, u) is False
+
     def test_single_sweep_calls_equal_one_call(self):
         sweeps = RESYNC_EVERY_SWEEPS + 3
         cfg = SamplerConfig(proposal_scale=0.9, burn_in_sweeps=0, thin_sweeps=1, seed=5)

@@ -33,7 +33,17 @@ from cwsoc.verification import (
     psi_quadratic_lower_bound_margin,
     run_suites,
 )
-from cwsoc.verification import TOLERANCES, _TWO_PI, _inner_cos_integral, _qawf, suite_density
+from cwsoc.verification import (
+    PANEL_NODES,
+    PANEL_PHASE,
+    Q_WIDTHS,
+    TOLERANCES,
+    _TWO_PI,
+    _gauss_legendre,
+    _inner_cos_integral,
+    _qawf,
+    suite_density,
+)
 
 off_cut_complex = st.builds(
     complex,
@@ -302,23 +312,70 @@ class TestInversionMatchesTwoHalfOracle:
         assert not report.passed
 
 
+def numpy_inner_cos_integral(x, v, n):
+    """Reference oracle of _inner_cos_integral: the same panels and nodes, with
+    char_fn evaluated at every node and the panels summed by numpy."""
+    u_scale = math.sqrt((1.0 + 4.0 * v * v) / n)
+    upper = Q_WIDTHS * u_scale
+    phase = abs(x) * upper + Q_WIDTHS * Q_WIDTHS * abs(v)
+    panels = 6 + int(phase / PANEL_PHASE)
+    ref_nodes, ref_weights = _gauss_legendre(PANEL_NODES)
+    width = upper / panels
+    u = width * (np.arange(panels)[:, None] + (0.5 + 0.5 * ref_nodes)).ravel()
+    f = np.cos(x * u) * char_fn(u, v, n)
+    # 2 * (width / 2) * sum_j w_j sum_k f(u_kj)
+    return complex(width * (f.reshape(panels, PANEL_NODES).sum(axis=0) * ref_weights).sum())
+
+
+def modulus_integral(v, n):
+    """int_R |Phi_n(u, v)| du = sqrt(2 pi (1+4v^2)/n) * (1+4v^2)^{-n/4}."""
+    return math.sqrt(_TWO_PI * (1.0 + 4.0 * v * v) / n) * (1.0 + 4.0 * v * v) ** (-n / 4.0)
+
+
+def inner_rule_grid(n):
+    """(x, v) over the inversion's probe abscissae and v in {0} and 1e-4..1e3."""
+    probes = [x for x, _ in inversion_probe_points(n)] + [1.5 * math.sqrt(n * 0.8 * n)]
+    return [(x, v) for x in probes for v in [0.0, *np.geomspace(1e-4, 1e3, 22).tolist()]]
+
+
 class TestInnerRuleMatchesClosedForm:
     """The inner u-rule of the inversion against the closed Gaussian form.
 
     int_R e^{-ixu} Phi_n(u, v) du = G(-x, n/z) * z^{-n/2} with z = 1 - 2iv and
     G = complex_gaussian_integral; the error is measured in units of
-    int_R |Phi_n(u, v)| du = sqrt(2 pi (1+4v^2)/n) * (1+4v^2)^{-n/4}.
+    int_R |Phi_n(u, v)| du.
     """
 
     @pytest.mark.parametrize("n", [5, 6, 8, 16, 64])
     def test_within_1e_10_of_the_modulus_integral(self, n):
-        probes = [x for x, _ in inversion_probe_points(n)] + [1.5 * math.sqrt(n * 0.8 * n)]
-        for x in probes:
-            for v in [0.0, *np.geomspace(1e-4, 1e3, 22).tolist()]:
-                z = complex(1.0, -2.0 * v)
-                exact = complex_gaussian_integral(-x, n / z) * cmath.exp(-0.5 * n * principal_log(z))
-                modulus_integral = math.sqrt(_TWO_PI * (1.0 + 4.0 * v * v) / n) * (1.0 + 4.0 * v * v) ** (-n / 4.0)
-                assert abs(_inner_cos_integral(x, v, n) - exact) <= 1e-10 * modulus_integral, (x, v)
+        for x, v in inner_rule_grid(n):
+            z = complex(1.0, -2.0 * v)
+            exact = complex_gaussian_integral(-x, n / z) * cmath.exp(-0.5 * n * principal_log(z))
+            assert abs(_inner_cos_integral(x, v, n) - exact) <= 1e-10 * modulus_integral(v, n), (x, v)
+
+
+class TestInnerRuleMatchesNumpyOracle:
+    """The compiled recurrence against char_fn at every node, summed by numpy."""
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 16, 64])
+    def test_within_1e_12_of_the_modulus_integral(self, n):
+        for x, v in inner_rule_grid(n):
+            difference = abs(_inner_cos_integral(x, v, n) - numpy_inner_cos_integral(x, v, n))
+            assert difference <= 1e-12 * modulus_integral(v, n), (x, v)
+
+    @pytest.mark.parametrize("x, v, n", [(10.0, 1e3, 400), (5.0, 300.0, 2000)])
+    def test_underflowed_anchors_give_zero(self, x, v, n):
+        assert numpy_inner_cos_integral(x, v, n) == 0j
+        value = _inner_cos_integral(x, v, n)
+        assert value == 0j and not cmath.isnan(value)
+
+    def test_anchors_leaving_the_normal_range_mid_rule(self):
+        # |Phi_n| falls from about 1e-307 at u = 0 to below DBL_MIN (2.2e-308)
+        # inside [0, U], where later blocks run the recurrence on
+        x, v, n = 5.0, 1e3, 186
+        assert modulus_integral(v, n) < 1e-304
+        difference = abs(_inner_cos_integral(x, v, n) - numpy_inner_cos_integral(x, v, n))
+        assert difference <= 1e-12 * modulus_integral(v, n)
 
 
 class TestNormalization:
