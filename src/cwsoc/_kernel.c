@@ -1,6 +1,11 @@
-/* The compiled kernels of cwsoc.  They export two entries: cw_sweeps, the
- * Metropolis sweeps of cwsoc.samplers, and cw_inner_cos, the inner u-rule of
- * the Fourier inversion in cwsoc.verification.
+/* The compiled kernels of cwsoc.  They export these entries:
+ *   cw_sweeps             the Metropolis sweeps of cwsoc.samplers;
+ *   cw_char_fn            Phi_n(u, v), verification.char_fn;
+ *   cw_inner_cos          the inner u-rule of the Fourier inversion,
+ *                         verification._inner_cos_integral;
+ *   cw_outer_new, cw_outer_re, cw_outer_im, cw_outer_evaluations and
+ *   cw_outer_free         the outer integrand of verification.invert_char_fn,
+ *                         which QUADPACK calls through scipy.LowLevelCallable.
  *
  * cw_sweeps runs whole sweeps.  Each sweep draws its n sites, n proposal
  * normals and n acceptance uniforms on the chain's own numpy bit generator
@@ -14,18 +19,23 @@
  * the C library's exp as math.exp does; built without FMA contraction or
  * -ffast-math, it accepts and rejects exactly as that loop does.
  *
- * cw_inner_cos sums a composite Gauss-Legendre rule for
- * 2 int_0^U cos(xu) Phi(u) du from values of Phi the caller evaluated at a
- * few anchor nodes; it fills in the other nodes by the Gaussian recurrence
- * described at its definition.  Its complex products and quotients are
- * written out in real arithmetic so that conjugate anchors give the exact
- * conjugate sum.
+ * Phi_n(u, v) = exp(-(n/2) (u^2 / (1 - 2iv) + Log(1 - 2iv))) is computed
+ * with the operations of the numpy expression the tests keep as its oracle,
+ * in its order, except that |1 - 2iv| comes from the C library's hypot.
+ * cw_inner_cos evaluates Phi only at a few anchor nodes and fills in the
+ * other nodes by the Gaussian recurrence described at its definition.  A
+ * cw_outer holds one inversion's x and n and a cache of h(v), so that the
+ * cosine and sine passes evaluate each distinct v once.  Complex products and
+ * quotients are written out in real arithmetic so that conjugate inputs give
+ * exact conjugate results.
  */
 
+#include <complex.h>
 #include <float.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <math.h>
 
 #include "numpy/random/bitgen.h"
@@ -109,7 +119,8 @@ static cw_complex cw_mul(cw_complex a, cw_complex b)
 }
 
 /* a / b by Smith's algorithm, which squares no part of b: anchors far below
- * sqrt(DBL_MIN) in modulus still divide. */
+ * sqrt(DBL_MIN) in modulus still divide.  It is also CPython's complex
+ * division, operation for operation. */
 static cw_complex cw_div(cw_complex a, cw_complex b)
 {
     if (fabs(b.re) >= fabs(b.im)) {
@@ -122,11 +133,6 @@ static cw_complex cw_div(cw_complex a, cw_complex b)
     return (cw_complex){(a.re * r + a.im) / d, (a.im * r - a.re) / d};
 }
 
-static bool cw_is_zero(cw_complex a)
-{
-    return a.re == 0.0 && a.im == 0.0;
-}
-
 /* Whether either part of a is at least DBL_MIN in magnitude: below that, the
  * parts carry too few bits to divide by. */
 static bool cw_is_normal(cw_complex a)
@@ -134,51 +140,80 @@ static bool cw_is_normal(cw_complex a)
     return fabs(a.re) >= DBL_MIN || fabs(a.im) >= DBL_MIN;
 }
 
-/* sum_k cos(x u_kj) Phi(u_kj) over the panels of column j; see cw_inner_cos. */
-static cw_complex cw_inner_column(const double *u, const cw_complex *anchor, int64_t panels, int64_t nodes,
-                                  int64_t block, int64_t j, double x, cw_complex d, cw_complex turn)
+/* Phi_n(u, v) = exp(q u^2 + p) for one v: q = -(n/2) / z and
+ * p = -(n/2) Log z with z = 1 - 2iv. */
+typedef struct {
+    cw_complex q, p;
+} cw_phi;
+
+/* Log z is the half-angle form of verification.principal_log, with the C
+ * library's hypot for |z|; the quotient is CPython's complex division. */
+static cw_phi cw_phi_of(double v, int64_t n)
 {
-    cw_complex sum = {0.0, 0.0};
-    cw_complex f = {0.0, 0.0};
-    cw_complex r = {0.0, 0.0};
-    cw_complex e = {0.0, 0.0};
-    for (int64_t first = 0; first < panels; first += block) {
-        int64_t at = 3 + 2 * nodes * (first / block) + j;
-        int64_t len = panels - first < block ? panels - first : block;
-        bool anchored = cw_is_normal(anchor[at]) && cw_is_normal(anchor[at + nodes]);
-        for (int64_t k = 0; k < len; k++) {
-            if (anchored && k < 2) {
-                int64_t i = at + k * nodes;
-                if (k == 1) {
-                    r = cw_div(anchor[i], f);
-                }
-                f = anchor[i];
-                e = (cw_complex){cos(x * u[i]), sin(x * u[i])};
-            } else {
-                r = cw_mul(r, d);
-                f = cw_mul(f, r);
-                e = cw_mul(e, turn);
-            }
-            if (cw_is_zero(f)) {
-                return sum;
-            }
-            sum.re += e.re * f.re;
-            sum.im += e.re * f.im;
-        }
-    }
-    return sum;
+    double y = -2.0 * v;
+    double half_n = -0.5 * (double)n;
+    double log_re = 0.5 * log(1.0 + y * y);
+    double log_im = 2.0 * atan(y / (1.0 + hypot(1.0, y)));
+    return (cw_phi){cw_div((cw_complex){half_n, 0.0}, (cw_complex){1.0, y}), {half_n * log_re, half_n * log_im}};
 }
 
-/* Writes to out[0], out[1] the complex
- *     h * sum_j weights[j] * sum_k cos(x u_kj) Phi(u_kj),
- * the rule over `panels` equal panels of width h whose node j in panel k is
- * u_kj = h (k + 1/2 + xi_j/2), where xi_j is the j-th of `nodes` reference
- * nodes.  The panels come in blocks of `block`.  u and anchor hold the
- * anchors, u and Phi(u), in this order: 0, h, 2h, then for every block the `nodes`
- * nodes of its first panel and those of its second (present even where the
- * block has one panel, and then unused).
+/* (q u) u + p, part by part as numpy multiplies a complex by a real, then the
+ * C library's cexp, which numpy's complex exp calls. */
+static cw_complex cw_phi_at(const cw_phi *phi, double u)
+{
+    double complex e = cexp(CMPLX(phi->q.re * u * u + phi->p.re, phi->q.im * u * u + phi->p.im));
+    return (cw_complex){creal(e), cimag(e)};
+}
+
+/* Writes Phi_n(u[i], v) to out[i] for every i < len. */
+void cw_char_fn(const double *u, int64_t len, double v, int64_t n, cw_complex *out)
+{
+    cw_phi phi = cw_phi_of(v, n);
+    for (int64_t i = 0; i < len; i++) {
+        out[i] = cw_phi_at(&phi, u[i]);
+    }
+}
+
+/* The inner u-rule's constants, set by cwsoc.verification: the rule stops at
+ * q_widths Gaussian widths of |Phi|; its panels span at most panel_phase
+ * radians of phase and come in blocks of `block`; each has `nodes` (at most
+ * CW_LANES) Gauss-Legendre nodes ref_nodes on [-1, 1] with weights. */
+typedef struct {
+    double q_widths;
+    double panel_phase;
+    int64_t block;
+    int64_t nodes;
+    const double *ref_nodes;
+    const double *weights;
+} cw_rule;
+
+/* The most nodes a panel may have: the lanes in which cw_inner_cos runs the
+ * columns of its rule side by side. */
+#define CW_LANES 8
+
+/* The state of every column of cw_inner_cos: its running sum, Phi at the
+ * last node f, the ratio r and e^{ixu}, part by part. */
+typedef struct {
+    double sum_re[CW_LANES], sum_im[CW_LANES];
+    double f_re[CW_LANES], f_im[CW_LANES];
+    double r_re[CW_LANES], r_im[CW_LANES];
+    double e_re[CW_LANES], e_im[CW_LANES];
+} cw_columns;
+
+/* Sets *out to the rule for 2 int_0^U cos(xu) Phi_n(u, v) du, the inner
+ * u-integral of the inversion, and returns true; returns false, setting
+ * nothing, when the panel count does not fit in an int64_t or a panel has
+ * more than CW_LANES nodes.
  *
- * Phi(u) = exp(-a u^2 + b) with Re a > 0, so along a column j the ratio
+ * U = q_widths sqrt((1 + 4v^2) / n), cut into 6 + floor(phase / panel_phase)
+ * equal panels of width h, where phase = |x| U + q_widths^2 |v|.  Node j of
+ * panel k is u_kj = h (k + 1/2 + xi_j/2), and the rule is
+ *     h * sum_j weights[j] * sum_k cos(x u_kj) Phi(u_kj),
+ * each column j summed over k first.
+ *
+ * Phi is evaluated only at anchors: u = 0, h, 2h and the nodes of the first
+ * two panels of every block (the second even where the block has one panel).
+ * Phi(u) = exp(-a u^2 + b) with Re a > 0, so along a column the ratio
  * R = Phi(u + h) / Phi(u) obeys R(u + h) = R(u) D with the constant
  * D = exp(-2 a h^2) = Phi(2h) Phi(0) / Phi(h)^2, and |R|, |D| < 1.  Each
  * block takes its first two values of a column from the anchors, and the
@@ -188,23 +223,222 @@ static cw_complex cw_inner_column(const double *u, const cw_complex *anchor, int
  * anchors of the column are not both normal runs the previous block's
  * recurrence on, and D is 0 where Phi(h) or Phi(2h) is not normal, since
  * every node past 2h is then smaller still.  |Phi| falls as u grows, so a
- * column ends at its first value that is zero. */
-void cw_inner_cos(const double *u, const cw_complex *anchor, int64_t panels, int64_t nodes, int64_t block,
-                  double x, const double *weights, double *out)
+ * column ends at its first value that is zero, and the rule at the block
+ * where every column has ended.  Complex products and quotients are written
+ * out in real arithmetic, so negating v conjugates the result bit for bit. */
+bool cw_inner_cos(const cw_rule *rule, double x, double v, int64_t n, cw_complex *out)
 {
-    double h = u[1];
+    double upper = rule->q_widths * sqrt((1.0 + 4.0 * v * v) / (double)n);
+    double extra = (fabs(x) * upper + rule->q_widths * rule->q_widths * fabs(v)) / rule->panel_phase;
+    if (!(extra < 0x1p62) || rule->nodes > CW_LANES) {
+        return false;
+    }
+    int64_t panels = 6 + (int64_t)extra;
+    double h = upper / (double)panels;
+    cw_phi phi = cw_phi_of(v, n);
+    cw_complex phi_h = cw_phi_at(&phi, h);
+    cw_complex phi_2h = cw_phi_at(&phi, h * 2.0);
     cw_complex d = {0.0, 0.0};
-    if (cw_is_normal(anchor[1]) && cw_is_normal(anchor[2])) {
-        d = cw_mul(cw_div(anchor[0], anchor[1]), cw_div(anchor[2], anchor[1]));
+    if (cw_is_normal(phi_h) && cw_is_normal(phi_2h)) {
+        d = cw_mul(cw_div(cw_phi_at(&phi, 0.0), phi_h), cw_div(phi_2h, phi_h));
     }
     cw_complex turn = {cos(x * h), sin(x * h)};
+    /* lanes past rule->nodes hold zeros throughout */
+    cw_columns col = {0};
+    bool done[CW_LANES] = {false};
+    int64_t open = rule->nodes;
+    for (int64_t first = 0; first < panels && open > 0; first += rule->block) {
+        int64_t len = panels - first < rule->block ? panels - first : rule->block;
+        /* the block's first two panels, column by column */
+        for (int64_t j = 0; j < rule->nodes; j++) {
+            if (done[j]) {
+                continue;
+            }
+            double u[2];
+            cw_complex anchor[2];
+            for (int64_t k = 0; k < 2; k++) {
+                u[k] = h * ((double)(first + k) + (0.5 + 0.5 * rule->ref_nodes[j]));
+                anchor[k] = cw_phi_at(&phi, u[k]);
+            }
+            bool anchored = cw_is_normal(anchor[0]) && cw_is_normal(anchor[1]);
+            cw_complex f = {col.f_re[j], col.f_im[j]};
+            cw_complex r = {col.r_re[j], col.r_im[j]};
+            cw_complex e = {col.e_re[j], col.e_im[j]};
+            for (int64_t k = 0; k < 2 && k < len; k++) {
+                if (anchored) {
+                    if (k == 1) {
+                        r = cw_div(anchor[1], f);
+                    }
+                    f = anchor[k];
+                    e = (cw_complex){cos(x * u[k]), sin(x * u[k])};
+                } else {
+                    r = cw_mul(r, d);
+                    f = cw_mul(f, r);
+                    e = cw_mul(e, turn);
+                }
+                col.sum_re[j] += e.re * f.re;
+                col.sum_im[j] += e.re * f.im;
+            }
+            col.f_re[j] = f.re;
+            col.f_im[j] = f.im;
+            col.r_re[j] = r.re;
+            col.r_im[j] = r.im;
+            col.e_re[j] = e.re;
+            col.e_im[j] = e.im;
+        }
+        /* the rest of the block by the recurrence, every column in step */
+        for (int64_t k = 2; k < len; k++) {
+            for (int j = 0; j < CW_LANES; j++) {
+                double r_re = col.r_re[j] * d.re - col.r_im[j] * d.im;
+                double r_im = col.r_re[j] * d.im + col.r_im[j] * d.re;
+                double f_re = col.f_re[j] * r_re - col.f_im[j] * r_im;
+                double f_im = col.f_re[j] * r_im + col.f_im[j] * r_re;
+                double e_re = col.e_re[j] * turn.re - col.e_im[j] * turn.im;
+                double e_im = col.e_re[j] * turn.im + col.e_im[j] * turn.re;
+                col.r_re[j] = r_re;
+                col.r_im[j] = r_im;
+                col.f_re[j] = f_re;
+                col.f_im[j] = f_im;
+                col.e_re[j] = e_re;
+                col.e_im[j] = e_im;
+                col.sum_re[j] += e_re * f_re;
+                col.sum_im[j] += e_re * f_im;
+            }
+        }
+        /* A column ends at its first zero value.  Within a block every later
+         * value is zero too and adds zero, leaving the sum's bits alone (a
+         * sum that starts at +0 never becomes -0), so the block can finish
+         * before the column is marked. */
+        for (int64_t j = 0; j < rule->nodes; j++) {
+            if (!done[j] && col.f_re[j] == 0.0 && col.f_im[j] == 0.0) {
+                done[j] = true;
+                open--;
+            }
+        }
+    }
     double sum_re = 0.0;
     double sum_im = 0.0;
-    for (int64_t j = 0; j < nodes; j++) {
-        cw_complex col = cw_inner_column(u, anchor, panels, nodes, block, j, x, d, turn);
-        sum_re += weights[j] * col.re;
-        sum_im += weights[j] * col.im;
+    for (int64_t j = 0; j < rule->nodes; j++) {
+        sum_re += rule->weights[j] * col.sum_re[j];
+        sum_im += rule->weights[j] * col.sum_im[j];
     }
-    out[0] = h * sum_re;
-    out[1] = h * sum_im;
+    *out = (cw_complex){h * sum_re, h * sum_im};
+    return true;
+}
+
+/* One entry of a cw_outer cache: h at the v whose bits are key. */
+typedef struct {
+    uint64_t key;
+    bool used;
+    cw_complex value;
+} cw_entry;
+
+/* The outer integrand h(v) = e^{-icv} I(x, v, n), c = x^2 / n, of one
+ * inversion, with a cache of the values it has computed: an open-addressing
+ * table keyed by the bits of v, at most half full. */
+typedef struct {
+    const cw_rule *rule;
+    double x, c;
+    int64_t n;
+    int64_t evaluations;
+    bool failed;
+    cw_entry *table;
+    size_t capacity;
+    size_t size;
+} cw_outer;
+
+/* A new outer integrand, or NULL when it cannot be allocated. */
+cw_outer *cw_outer_new(const cw_rule *rule, double x, int64_t n)
+{
+    cw_outer *h = calloc(1, sizeof *h);
+    if (h != NULL) {
+        h->rule = rule;
+        h->x = x;
+        h->c = x * x / (double)n;
+        h->n = n;
+    }
+    return h;
+}
+
+void cw_outer_free(cw_outer *h)
+{
+    if (h != NULL) {
+        free(h->table);
+        free(h);
+    }
+}
+
+/* The number of inner rules h has evaluated, or -1 if one of them failed
+ * (its value was then NaN). */
+int64_t cw_outer_evaluations(const cw_outer *h)
+{
+    return h->failed ? -1 : h->evaluations;
+}
+
+/* The slot of key in a table of `capacity` (a power of two) entries: its own
+ * entry, or the free one where it belongs. */
+static size_t cw_slot(const cw_entry *table, size_t capacity, uint64_t key)
+{
+    size_t i = (size_t)((key * UINT64_C(0x9E3779B97F4A7C15)) >> 32) & (capacity - 1);
+    while (table[i].used && table[i].key != key) {
+        i = (i + 1) & (capacity - 1);
+    }
+    return i;
+}
+
+static bool cw_grow(cw_outer *h)
+{
+    size_t capacity = h->capacity > 0 ? 2 * h->capacity : 256;
+    cw_entry *table = calloc(capacity, sizeof *table);
+    if (table == NULL) {
+        return false;
+    }
+    for (size_t i = 0; i < h->capacity; i++) {
+        if (h->table[i].used) {
+            table[cw_slot(table, capacity, h->table[i].key)] = h->table[i];
+        }
+    }
+    free(h->table);
+    h->table = table;
+    h->capacity = capacity;
+    return true;
+}
+
+/* h(v) from the cache, or computed and stored; a value the cache has no room
+ * for is computed again when asked again.  e^{-icv} is cmath.exp's
+ * (cos, sin) of -c v. */
+static cw_complex cw_outer_value(cw_outer *h, double v)
+{
+    uint64_t key;
+    memcpy(&key, &v, sizeof key);
+    if (h->size > 0) {
+        cw_entry *entry = &h->table[cw_slot(h->table, h->capacity, key)];
+        if (entry->used) {
+            return entry->value;
+        }
+    }
+    cw_complex inner;
+    if (!cw_inner_cos(h->rule, h->x, v, h->n, &inner)) {
+        h->failed = true;
+        return (cw_complex){NAN, NAN};
+    }
+    h->evaluations++;
+    double theta = -h->c * v;
+    cw_complex value = cw_mul((cw_complex){cos(theta), sin(theta)}, inner);
+    if (2 * (h->size + 1) <= h->capacity || cw_grow(h)) {
+        h->table[cw_slot(h->table, h->capacity, key)] = (cw_entry){key, true, value};
+        h->size++;
+    }
+    return value;
+}
+
+/* Re h(v) and Im h(v), for scipy.LowLevelCallable as double (double, void *). */
+double cw_outer_re(double v, void *h)
+{
+    return cw_outer_value(h, v).re;
+}
+
+double cw_outer_im(double v, void *h)
+{
+    return cw_outer_value(h, v).im;
 }

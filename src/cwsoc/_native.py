@@ -1,5 +1,7 @@
 """Builds and loads the compiled kernels (``_kernel.c``) on first use: the
-Metropolis sweeps of ``samplers`` and the inner u-rule of ``verification``.
+Metropolis sweeps of ``samplers``, and ``verification``'s characteristic
+function, the inner u-rule of its Fourier inversion and the outer integrand
+that QUADPACK calls through ``scipy.LowLevelCallable``.
 
 The library is compiled with the C compiler ``cc`` against numpy's shipped
 static ``numpy/random/lib/libnpyrandom.a``, so its draws run through the same
@@ -83,7 +85,18 @@ def kernel() -> ctypes.CDLL:
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         lib.cw_sweeps.argtypes = [ptr, ptr, i64, ptr, i64, f64, f64, ptr, ptr]
         lib.cw_sweeps.restype = i64
-        lib.cw_inner_cos.argtypes = [ptr, ptr, i64, i64, i64, f64, ptr, ptr]
-        lib.cw_inner_cos.restype = None
+        lib.cw_char_fn.argtypes = [ptr, i64, f64, i64, ptr]
+        lib.cw_char_fn.restype = None
+        lib.cw_inner_cos.argtypes = [ptr, f64, f64, i64, ptr]
+        lib.cw_inner_cos.restype = ctypes.c_bool
+        lib.cw_outer_new.argtypes = [ptr, f64, i64]
+        lib.cw_outer_new.restype = ptr
+        for name in ("cw_outer_re", "cw_outer_im"):
+            getattr(lib, name).argtypes = [f64, ptr]
+            getattr(lib, name).restype = f64
+        lib.cw_outer_evaluations.argtypes = [ptr]
+        lib.cw_outer_evaluations.restype = i64
+        lib.cw_outer_free.argtypes = [ptr]
+        lib.cw_outer_free.restype = None
         _lib = lib
     return _lib

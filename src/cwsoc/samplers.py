@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import DomainError, ModelParams, SumStats, is_integer, positive_real, sum_stats
+from .model import DomainError, ModelParams, is_integer, positive_real, sum_stats
 
 __all__ = [
     "SamplerConfig",
@@ -245,12 +245,16 @@ class ImportanceResult(NamedTuple):
 
 
 def importance_estimate(
-    f: Callable[[SumStats], float],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     params: ModelParams,
     draws: int,
     rng: np.random.Generator,
 ) -> ImportanceResult:
     """Self-normalized importance estimate of E[f(s, t)] under the tilted model.
+
+    ``f`` is called once per block of up to IMPORTANCE_BLOCK draws, on the
+    float arrays s and t of the block, and must return f at every draw in an
+    array of the same shape.
 
     Proposals are exact untilted draws; log weights are s^2/(2t), normalized
     through a log-sum-exp so that weights up to e^{n/2} never overflow.  The
@@ -268,7 +272,10 @@ def importance_estimate(
         m = min(IMPORTANCE_BLOCK, draws - done)
         s_arr, t_arr = sample_nu_star(params, rng, m)
         log_w[done : done + m] = s_arr**2 / (2.0 * t_arr)
-        f_vals[done : done + m] = [f(SumStats(s, t)) for s, t in zip(s_arr, t_arr)]
+        values = np.asarray(f(s_arr, t_arr), dtype=float)
+        if values.shape != s_arr.shape:
+            raise DomainError(f"f returned shape {values.shape} for {s_arr.shape} draws")
+        f_vals[done : done + m] = values
         done += m
     shifted = np.exp(log_w - log_w.max())
     w_norm = shifted / shifted.sum()

@@ -11,11 +11,12 @@ Design notes
   outer axis and composite Gauss-Legendre panels (sized by a phase budget) on
   the inner axis; the inner truncation radius comes from the explicit modulus
   bound |Phi_n(u, v)| = exp(-n u^2 / (2(1+4v^2))) * (1+4v^2)^{-n/4}.  The
-  inner rule evaluates char_fn only at anchor nodes, re-anchored every
-  BLOCK_PANELS panels, and the compiled kernel (``_kernel.c``, loaded on the
-  first inversion) fills in the other nodes by the exact Gaussian-in-u
-  recurrence of Phi_n; the tests keep the node-by-node numpy rule as its
-  oracle.
+  whole outer integrand is compiled (``_kernel.c``, loaded on first use):
+  QUADPACK calls it through scipy.LowLevelCallable, and it evaluates Phi_n
+  only at anchor nodes, re-anchored every BLOCK_PANELS panels, filling in
+  the other nodes by the exact Gaussian-in-u recurrence of Phi_n.  char_fn
+  wraps the same C code.  The tests keep the numpy char_fn expression and
+  the node-by-node numpy rule as their oracles.
   Phi_n(u, -v) = conj Phi_n(u, v), so only the v >= 0 half is integrated and
   the inverted density has no imaginary part to report.
 * The principal complex logarithm is implemented with the half-angle
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy import LowLevelCallable
 from scipy.integrate import dblquad, quad
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, roots_legendre
 
 from .limit_law import normalizer
 from .model import DomainError, UnsupportedOrderError, MIN_DENSITY_N, psi, psi_unchecked
@@ -127,10 +129,15 @@ def char_fn(u, v: float, n: int):
     exp(-(n/2) (u^2 / (1 - 2iv) + Log(1 - 2iv))); its modulus is
     exp(-n u^2 / (2(1+4v^2))) * (1+4v^2)^{-n/4}.  Elementwise in u: a complex
     array for an array of u, a Python complex for a scalar, with the same bits.
+    Computed by cw_char_fn of the compiled kernel (``_kernel.c``), the code the
+    inversion's inner rule evaluates; Log is principal_log's half-angle form.
     """
-    z = complex(1.0, -2.0 * v)
-    u = np.asarray(u, dtype=float)
-    phi = np.exp(-0.5 * n / z * u * u + -0.5 * n * principal_log(z))
+    # imported here so that importing this module neither loads nor builds the kernel
+    from ._native import kernel
+
+    u = np.asarray(u, dtype=float, order="C")
+    phi = np.empty(u.shape, dtype=complex)
+    kernel().cw_char_fn(u.ctypes.data, u.size, float(v), int(n), phi.ctypes.data)
     return complex(phi) if phi.ndim == 0 else phi
 
 
@@ -171,29 +178,49 @@ class InversionResult(NamedTuple):
 
 @functools.cache
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(m)
+    """m-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    scipy's banded Golub-Welsch route, not numpy's leggauss, whose dense
+    eigensolver wakes the BLAS threads: in a fresh process that sometimes
+    stalled for 0.1-0.9 s.  Against mpmath at m = 319 the nodes are within
+    1.6e-16 and the weights within 5.7e-10 relative (at the two end nodes;
+    leggauss: 4.3e-11).
+    """
+    return roots_legendre(m)
 
 
 # The inner u-integral of the Fourier inversion stops at q = Q_WIDTHS Gaussian
-# widths of |Phi_n|, on equal panels of PANEL_NODES Gauss-Legendre nodes that
-# each span at most PANEL_PHASE radians of the integrand's total phase.  The
-# compiled rule re-anchors its recurrence at the start of every block of
-# BLOCK_PANELS panels: run over all panels from one anchor pair, the
-# recurrence drifted to 2.0e-10 of int |Phi_n| du from the closed form at
-# (n=64, x=21.4, v=1e3), against 1.5e-11 for the node-by-node rule.
+# widths of |Phi_n|, on equal panels of PANEL_NODES (at most CW_LANES = 8 of
+# ``_kernel.c``) Gauss-Legendre nodes that each span at most PANEL_PHASE
+# radians of the integrand's total phase.  The compiled rule re-anchors its
+# recurrence at the start of every block of BLOCK_PANELS panels: run over all
+# panels from one anchor pair, the recurrence drifted to 2.0e-10 of
+# int |Phi_n| du from the closed form at (n=64, x=21.4, v=1e3), against
+# 1.5e-11 for the node-by-node rule.
 Q_WIDTHS = 7.5
 PANEL_NODES = 8
 PANEL_PHASE = 8.0
 BLOCK_PANELS = 32
 
 
+class _InnerRule(ctypes.Structure):
+    """The cw_rule of ``_kernel.c``: the constants above and the reference panel."""
+
+    _fields_ = [
+        ("q_widths", ctypes.c_double),
+        ("panel_phase", ctypes.c_double),
+        ("block", ctypes.c_int64),
+        ("nodes", ctypes.c_int64),
+        ("ref_nodes", ctypes.c_void_p),
+        ("weights", ctypes.c_void_p),
+    ]
+
+
 @functools.cache
-def _anchor_offsets(blocks: int) -> np.ndarray:
-    """u / width of the anchors of the inner rule: 0, 1, 2, then the nodes of
-    the first two panels of each of `blocks` blocks, in cw_inner_cos's order."""
-    ref_nodes, _ = _gauss_legendre(PANEL_NODES)
-    panels = BLOCK_PANELS * np.arange(blocks)[:, None] + np.arange(2)
-    return np.concatenate([[0.0, 1.0, 2.0], (panels[:, :, None] + (0.5 + 0.5 * ref_nodes)).ravel()])
+def _inner_rule() -> _InnerRule:
+    # the node arrays stay alive in _gauss_legendre's cache
+    ref_nodes, weights = _gauss_legendre(PANEL_NODES)
+    return _InnerRule(Q_WIDTHS, PANEL_PHASE, BLOCK_PANELS, PANEL_NODES, ref_nodes.ctypes.data, weights.ctypes.data)
 
 
 def _inner_cos_integral(x: float, v: float, n: int) -> complex:
@@ -205,37 +232,56 @@ def _inner_cos_integral(x: float, v: float, n: int) -> complex:
     [0, U], so each PANEL_NODES-node Gauss-Legendre panel spans at most
     PANEL_PHASE radians, about 1.3 oscillation periods.
 
-    char_fn is evaluated only at anchors: u = 0, h, 2h and the nodes of the
-    first two panels of every block of BLOCK_PANELS panels.  The compiled
-    cw_inner_cos (``_kernel.c``) fills in the other nodes of each block by
-    the exact Gaussian-in-u recurrence Phi(u + h) = Phi(u) R, R <- R D with
+    The compiled cw_inner_cos (``_kernel.c``) evaluates Phi_n only at anchors:
+    u = 0, h, 2h and the nodes of the first two panels of every block of
+    BLOCK_PANELS panels.  It fills in the other nodes of each block by the
+    exact Gaussian-in-u recurrence Phi(u + h) = Phi(u) R, R <- R D with
     D = Phi(2h) Phi(0) / Phi(h)^2, rotates e^{ixu} by e^{ixh}, and sums the
     panels node by node before weighting.  Re-anchoring every block bounds
     the rounding the recurrence accumulates.  On the probe grid of the tests,
     the result stays within 1e-12 of int |Phi_n(u, v)| du of the same rule
-    evaluated by numpy from char_fn at every node, its reference oracle, and
-    within 1e-10 of that integral of the closed Gaussian form.  Blocks whose
-    anchors fall below the normal range run the previous block's recurrence
-    on, and where every anchor underflows the result is 0j, as the
-    node-by-node rule gives.  Negating v conjugates every anchor and so, bit
-    for bit, the result.
+    evaluated by numpy at every node, its reference oracle, and within 1e-10
+    of that integral of the closed Gaussian form.  Blocks whose anchors fall
+    below the normal range run the previous block's recurrence on, and where
+    every anchor underflows the result is 0j, as the node-by-node rule gives.
+    Negating v conjugates every anchor and so, bit for bit, the result.
     """
-    # imported here so that importing this module neither loads nor builds the kernel
     from ._native import kernel
 
-    u_scale = math.sqrt((1.0 + 4.0 * v * v) / n)
-    upper = Q_WIDTHS * u_scale
-    phase = abs(x) * upper + Q_WIDTHS * Q_WIDTHS * abs(v)
-    panels = 6 + int(phase / PANEL_PHASE)
-    width = upper / panels
-    u = width * _anchor_offsets(-(-panels // BLOCK_PANELS))
-    phi = char_fn(u, v, n)
     out = (ctypes.c_double * 2)()
-    kernel().cw_inner_cos(
-        u.ctypes.data, phi.ctypes.data, panels, PANEL_NODES, BLOCK_PANELS, float(x),
-        _gauss_legendre(PANEL_NODES)[1].ctypes.data, out,
-    )
+    if not kernel().cw_inner_cos(ctypes.byref(_inner_rule()), float(x), float(v), int(n), out):
+        raise DomainError(f"the inner rule at (x={x!r}, v={v!r}, n={n}) needs 2^62 panels or more")
     return complex(out[0], out[1])
+
+
+class _OuterIntegrand:
+    """The outer integrand h(v) = e^{-icv} I(x, v, n), c = x^2/n, of one
+    inversion, where I is _inner_cos_integral.  ``re`` and ``im`` are Re h and
+    Im h as scipy.LowLevelCallable objects over one compiled cw_outer
+    (``_kernel.c``), so QUADPACK calls C, and the two share a cache that
+    evaluates I once per distinct v.  Leaving the context frees the cw_outer.
+    """
+
+    def __init__(self, x: float, n: int):
+        from ._native import kernel
+
+        self._lib = kernel()
+        self.data = ctypes.c_void_p(self._lib.cw_outer_new(ctypes.byref(_inner_rule()), float(x), int(n)))
+        if not self.data:
+            raise MemoryError("cannot allocate the outer integrand of the inversion")
+        self.re = LowLevelCallable(self._lib.cw_outer_re, self.data)
+        self.im = LowLevelCallable(self._lib.cw_outer_im, self.data)
+
+    def evaluations(self) -> int:
+        """The number of inner rules evaluated so far, or -1 once one failed
+        (h was then NaN there)."""
+        return self._lib.cw_outer_evaluations(self.data)
+
+    def __enter__(self) -> "_OuterIntegrand":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lib.cw_outer_free(self.data)
 
 
 def _abs_cf_v_integral(n: int) -> float:
@@ -244,7 +290,9 @@ def _abs_cf_v_integral(n: int) -> float:
     return 0.5 * math.sqrt(math.pi) * math.exp(gammaln(p - 0.5) - gammaln(p))
 
 
-def _qawf(f: Callable[[float], float], omega: float, kind: str, epsabs: float) -> tuple[float, float]:
+def _qawf(
+    f: Callable[[float], float] | LowLevelCallable, omega: float, kind: str, epsabs: float
+) -> tuple[float, float]:
     """QUADPACK Fourier transform int_0^inf f(v) * cos/sin(omega v) dv."""
     out = quad(
         f,
@@ -271,12 +319,14 @@ def invert_char_fn(x: float, y: float, n: int, tol: float) -> InversionResult:
     of the outer integrand is the conjugate of the v > 0 half: only v >= 0 is
     integrated and the imaginary parts cancel exactly; the report's
     density/inversion_conjugate_mirror checks that the inner integral keeps
-    this symmetry bit for bit.  error_bound covers the truncation of the inner
-    integral at Q_WIDTHS widths and the error estimates of the two QAWF passes
-    (of the one plain quad pass when y == x^2/n); it leaves out the inner
-    Gauss-Legendre rule, whose error tests/test_verification.py bounds by 1e-10
-    of int |Phi_n(u, v)| du.  Raises InversionAccuracyError if the error bound
-    exceeds tol, before any quadrature when the truncation term alone does.
+    this symmetry bit for bit.  The outer integrand is _OuterIntegrand's
+    compiled h, so the passes call no Python.  error_bound covers the
+    truncation of the inner integral at Q_WIDTHS widths and the error
+    estimates of the two QAWF passes (of the one plain quad pass when
+    y == x^2/n); it leaves out the inner Gauss-Legendre rule, whose error
+    tests/test_verification.py bounds by 1e-10 of int |Phi_n(u, v)| du.
+    Raises InversionAccuracyError if the error bound exceeds tol, before any
+    quadrature when the truncation term alone does.
     """
     if n < MIN_DENSITY_N:
         raise UnsupportedOrderError(f"characteristic function not integrable for n={n} < {MIN_DENSITY_N}")
@@ -292,31 +342,25 @@ def invert_char_fn(x: float, y: float, n: int, tol: float) -> InversionResult:
             f"inversion at (x={x!r}, y={y!r}, n={n}): truncation error "
             f"{truncation:.3e} alone exceeds tol {tol:.3e}"
         )
-    c = x * x / n
-    w = y - c
-
-    cache: dict[float, complex] = {}
-
-    def h(v: float) -> complex:
-        got = cache.get(v)
-        if got is None:
-            got = cmath.exp(complex(0.0, -c * v)) * _inner_cos_integral(x, v, n)
-            cache[v] = got
-        return got
-
+    w = y - x * x / n
     # The v < 0 half doubles Re h against cos(wv) and Im h against sin(wv),
     # and cancels the other two products.  QUADPACK's subdivision, and with
     # it every bit of the value, depends on epsabs = tol / 12.
     eps_component = tol / 12.0
-    if w == 0.0:
-        # No oscillation left once the linear phase is removed; plain quadrature.
-        val, err = quad(lambda v: h(v).real, 0.0, np.inf, epsabs=eps_component, limit=300, full_output=1)[:2]
-        total = val + val
-    else:
-        cos_re, e_cos = _qawf(lambda v: h(v).real, abs(w), "cos", eps_component)
-        sin_im, e_sin = _qawf(lambda v: h(v).imag, abs(w), "sin", eps_component)
-        total = (cos_re + cos_re) + math.copysign(1.0, w) * (sin_im + sin_im)
-        err = e_cos + e_sin
+    with _OuterIntegrand(x, n) as h:
+        if w == 0.0:
+            # No oscillation left once the linear phase is removed; plain quadrature.
+            val, err = quad(h.re, 0.0, np.inf, epsabs=eps_component, limit=300, full_output=1)[:2]
+            total = val + val
+        else:
+            cos_re, e_cos = _qawf(h.re, abs(w), "cos", eps_component)
+            sin_im, e_sin = _qawf(h.im, abs(w), "sin", eps_component)
+            total = (cos_re + cos_re) + math.copysign(1.0, w) * (sin_im + sin_im)
+            err = e_cos + e_sin
+        if h.evaluations() < 0:
+            raise InversionAccuracyError(
+                f"inversion at (x={x!r}, y={y!r}, n={n}): the inner rule needs 2^62 panels or more at some v"
+            )
 
     error_bound = inv_four_pi_sq * 2.0 * err + truncation
     if error_bound > tol:

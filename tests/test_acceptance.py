@@ -187,7 +187,7 @@ def test_criterion_07_end_to_end_fluctuation_limit():
 def test_criterion_08_estimator_cross_validation():
     start = time.time()
     params = ModelParams(n=50, sigma=1.0)
-    f = lambda stats: (stats.s / 50**0.75) ** 2
+    f = lambda s, t: (s / 50**0.75) ** 2
     imp = importance_estimate(f, params, draws=400_000, rng=chain_rng(31337, 0))
     cfg = SamplerConfig(proposal_scale=2.38, burn_in_sweeps=1000, thin_sweeps=2, seed=777)
     chain = init_chain(params, cfg)

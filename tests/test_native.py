@@ -34,13 +34,12 @@ print(repr(run(chain, 30)[-1]))
 
 
 # Runs, in one process, every command but simulate, convergence and the
-# density suite, and fails if any of them loaded the kernel.
+# complex and density suites, and fails if any of them loaded the kernel.
 RUN_WITHOUT_KERNEL = """
 import sys
 from cwsoc.cli import main
 out, samples = sys.argv[1:3]
 for argv in (
-    ["verify", "--suite", "complex", "--out", out],
     ["verify", "--suite", "laplace", "--out", out],
     ["limit", "--cdf", "0.5"],
     ["plotdata", "--input", samples, "--bins", "4", "--out", out],
@@ -166,8 +165,10 @@ class TestBuildFailure:
         assert main(argv) == 1
         assert "fake-cc: out of order" in capsys.readouterr().err
 
-    def test_verify_density_exits_1_with_compiler_message(self, tmp_path, capsys, failing_compiler):
+    # char_fn and the inversion both run compiled code
+    @pytest.mark.parametrize("suite", [["complex"], ["density", "--n-list", "5"]])
+    def test_verify_exits_1_with_compiler_message(self, tmp_path, capsys, failing_compiler, suite):
         out = tmp_path / "run"
-        assert main(["verify", "--suite", "density", "--n-list", "5", "--out", str(out)]) == 1
+        assert main(["verify", "--suite", *suite, "--out", str(out)]) == 1
         assert "fake-cc: out of order" in capsys.readouterr().err
         assert not (out / "report.json").exists()

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaincinv
 
-from cwsoc.model import DomainError, ModelParams, SumStats, sum_stats
+from cwsoc.model import DomainError, ModelParams, sum_stats
 from cwsoc.samplers import (
+    IMPORTANCE_BLOCK,
     RESYNC_EVERY_SWEEPS,
     ChainState,
     ImportanceResult,
@@ -399,33 +400,62 @@ class TestNuStarSampler:
 
 class TestImportanceEstimate:
     def test_constant_function_is_exact(self):
-        res = importance_estimate(lambda st: 1.0, ModelParams(20, 1.0), 1000, chain_rng(4, 0))
+        res = importance_estimate(lambda s, t: np.ones_like(s), ModelParams(20, 1.0), 1000, chain_rng(4, 0))
         assert res.estimate == pytest.approx(1.0, abs=1e-15)
         assert res.std_error == pytest.approx(0.0, abs=1e-15)
 
     def test_positive_half_probability(self):
         res = importance_estimate(
-            lambda st: 1.0 if st.s > 0 else 0.0, ModelParams(20, 1.0), 100_000, chain_rng(6, 0)
+            lambda s, t: np.where(s > 0, 1.0, 0.0), ModelParams(20, 1.0), 100_000, chain_rng(6, 0)
         )
         assert abs(res.estimate - 0.5) < 3.0 * res.std_error
 
     def test_too_few_draws_rejected(self):
         with pytest.raises(DomainError):
-            importance_estimate(lambda st: 1.0, ModelParams(10, 1.0), 99, chain_rng(1, 0))
+            importance_estimate(lambda s, t: np.ones_like(s), ModelParams(10, 1.0), 99, chain_rng(1, 0))
 
     def test_low_ess_flagged_not_silent(self):
         with pytest.warns(RuntimeWarning, match="ESS"):
             res = importance_estimate(
-                lambda st: st.s, ModelParams(200, 1.0), 150, chain_rng(12, 0)
+                lambda s, t: s, ModelParams(200, 1.0), 150, chain_rng(12, 0)
             )
         assert isinstance(res, ImportanceResult)
         assert not res.reliable
         assert res.ess < 50.0
 
+    def test_matches_the_per_draw_reference_bit_for_bit(self):
+        # the estimator of the loop that called f once per draw, on the same blocks
+        params, draws = ModelParams(30, 1.0), 10_000
+
+        def reference(f, rng):
+            s_all, t_all, f_all = [], [], []
+            for first in range(0, draws, IMPORTANCE_BLOCK):
+                s_arr, t_arr = sample_nu_star(params, rng, min(IMPORTANCE_BLOCK, draws - first))
+                s_all.append(s_arr)
+                t_all.append(t_arr)
+                f_all.append([f(s, t) for s, t in zip(s_arr, t_arr)])
+            s_arr, t_arr, f_vals = np.concatenate(s_all), np.concatenate(t_all), np.concatenate(f_all)
+            log_w = s_arr**2 / (2.0 * t_arr)
+            shifted = np.exp(log_w - log_w.max())
+            w_norm = shifted / shifted.sum()
+            estimate = float(np.dot(w_norm, f_vals))
+            std_error = float(np.sqrt(np.sum(w_norm**2 * (f_vals - estimate) ** 2)))
+            return estimate, std_error, float(1.0 / np.sum(w_norm**2))
+
+        f = lambda s, t: s * s / t  # noqa: E731, elementwise on scalars and arrays alike
+        res = importance_estimate(f, params, draws, chain_rng(8, 0))
+        expected = reference(f, chain_rng(8, 0))
+        assert [v.hex() for v in res[:3]] == [v.hex() for v in expected]
+        assert res.draws == draws and res.reliable
+
+    def test_f_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DomainError, match="f returned shape \\(\\) for \\(1000,\\) draws"):
+            importance_estimate(lambda s, t: 1.0, ModelParams(10, 1.0), 1000, chain_rng(1, 0))
+
     def test_agrees_with_mcmc_route(self):
         # two independent estimators of E[(s/n^{3/4})^2] at n=50
         params = ModelParams(50, 1.0)
-        f = lambda st: (st.s / 50**0.75) ** 2
+        f = lambda s, t: (s / 50**0.75) ** 2
         imp = importance_estimate(f, params, 200_000, chain_rng(31337, 0))
         cfg = SamplerConfig(seed=777, burn_in_sweeps=500, thin_sweeps=2)
         chain = init_chain(params, cfg)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cwsoc._native import kernel
 from cwsoc.limit_law import QuarticLaw
 from cwsoc.model import DomainError, SupportError, UnsupportedOrderError
 from cwsoc.verification import (
@@ -39,6 +40,8 @@ from cwsoc.verification import (
     Q_WIDTHS,
     TOLERANCES,
     _TWO_PI,
+    InversionAccuracyError,
+    _OuterIntegrand,
     _gauss_legendre,
     _inner_cos_integral,
     _qawf,
@@ -288,15 +291,17 @@ class TestInversionMatchesTwoHalfOracle:
 
     @pytest.mark.parametrize("n", [5, 6, 8, 16])
     def test_negative_v_is_conjugate_mirror(self, n):
+        us = np.linspace(0.0, 12.0, 97)
+        for v in np.concatenate([np.geomspace(1e-4, 1e3, 15), [0.5, 2.0, 37.25]]).tolist():
+            phi, mirrored = char_fn(us, v, n), char_fn(us, -v, n)
+            assert np.array_equal(mirrored.real, phi.real) and np.array_equal(mirrored.imag, -phi.imag), v
         for x in (0.0, 0.37, 2.9, 11.0):
-            for v in np.concatenate([np.geomspace(1e-4, 1e3, 15), [0.5, 2.0, 37.25]]).tolist():
-                direct = _inner_cos_integral(x, v, n)
-                mirrored = _inner_cos_integral(x, -v, n)
-                assert mirrored == direct.conjugate(), (x, v)
-                c = x * x / n
-                h_pos = cmath.exp(complex(0.0, -c * v)) * direct
-                h_neg = cmath.exp(complex(0.0, c * v)) * mirrored
-                assert h_neg == h_pos.conjugate(), (x, v)
+            with _OuterIntegrand(x, n) as h:
+                for v in np.concatenate([np.geomspace(1e-4, 1e3, 15), [0.5, 2.0, 37.25]]).tolist():
+                    direct = _inner_cos_integral(x, v, n)
+                    assert _inner_cos_integral(x, -v, n) == direct.conjugate(), (x, v)
+                    # the compiled outer integrand the inversion integrates
+                    assert compiled_h(h, -v) == compiled_h(h, v).conjugate(), (x, v)
 
     def test_report_check_fails_when_the_mirror_breaks(self, monkeypatch):
         # one ulp off at negative v only, which the v >= 0 inversion never asks
@@ -312,9 +317,16 @@ class TestInversionMatchesTwoHalfOracle:
         assert not report.passed
 
 
+def numpy_char_fn(u, v, n):
+    """Reference oracle of char_fn: its formula in numpy, with principal_log."""
+    z = complex(1.0, -2.0 * v)
+    u = np.asarray(u, dtype=float)
+    return np.exp(-0.5 * n / z * u * u + -0.5 * n * principal_log(z))
+
+
 def numpy_inner_cos_integral(x, v, n):
     """Reference oracle of _inner_cos_integral: the same panels and nodes, with
-    char_fn evaluated at every node and the panels summed by numpy."""
+    numpy_char_fn evaluated at every node and the panels summed by numpy."""
     u_scale = math.sqrt((1.0 + 4.0 * v * v) / n)
     upper = Q_WIDTHS * u_scale
     phase = abs(x) * upper + Q_WIDTHS * Q_WIDTHS * abs(v)
@@ -322,7 +334,7 @@ def numpy_inner_cos_integral(x, v, n):
     ref_nodes, ref_weights = _gauss_legendre(PANEL_NODES)
     width = upper / panels
     u = width * (np.arange(panels)[:, None] + (0.5 + 0.5 * ref_nodes)).ravel()
-    f = np.cos(x * u) * char_fn(u, v, n)
+    f = np.cos(x * u) * numpy_char_fn(u, v, n)
     # 2 * (width / 2) * sum_j w_j sum_k f(u_kj)
     return complex(width * (f.reshape(panels, PANEL_NODES).sum(axis=0) * ref_weights).sum())
 
@@ -376,6 +388,119 @@ class TestInnerRuleMatchesNumpyOracle:
         assert modulus_integral(v, n) < 1e-304
         difference = abs(_inner_cos_integral(x, v, n) - numpy_inner_cos_integral(x, v, n))
         assert difference <= 1e-12 * modulus_integral(v, n)
+
+
+def reference_h(x, v, n):
+    """Reference oracle of the outer integrand: cmath's e^{-icv} times
+    numpy_inner_cos_integral, as the inversion composed them in Python."""
+    return cmath.exp(complex(0.0, -(x * x / n) * v)) * numpy_inner_cos_integral(x, v, n)
+
+
+def compiled_h(h, v):
+    """The compiled outer integrand of _OuterIntegrand h at v, through ctypes."""
+    lib = kernel()
+    return complex(lib.cw_outer_re(v, h.data), lib.cw_outer_im(v, h.data))
+
+
+def recorded_inversion(x, y, n, tol):
+    """invert_char_fn's quadrature passes, with the compiled Re h and Im h
+    called from Python so that the v QUADPACK asks for can be recorded.
+    Returns the density, the v in the order asked and the count of inner
+    rules the cw_outer evaluated."""
+    w = y - x * x / n
+    eps_component = tol / 12.0
+    visited = []
+    lib = kernel()
+    with _OuterIntegrand(x, n) as h:
+
+        def recording(part):
+            def f(v):
+                visited.append(v)
+                return part(v, h.data)
+
+            return f
+
+        if w == 0.0:
+            val = quad(recording(lib.cw_outer_re), 0.0, np.inf, epsabs=eps_component, limit=300, full_output=1)[0]
+            total = val + val
+        else:
+            cos_re = _qawf(recording(lib.cw_outer_re), abs(w), "cos", eps_component)[0]
+            sin_im = _qawf(recording(lib.cw_outer_im), abs(w), "sin", eps_component)[0]
+            total = (cos_re + cos_re) + math.copysign(1.0, w) * (sin_im + sin_im)
+        evaluations = h.evaluations()
+    return total * (1.0 / (_TWO_PI * _TWO_PI)), visited, evaluations
+
+
+class TestCompiledOuterIntegrand:
+    """The compiled char_fn and h(v) = e^{-icv} I(x, v, n) against the numpy
+    and cmath expressions they replace."""
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 8, 16, 64])
+    def test_char_fn_matches_numpy_oracle(self, n):
+        # the compiled Log takes |z| from the C library's hypot, which can round apart from math.hypot
+        us = np.linspace(0.0, 9.0, 41)
+        compiled, reference = [], []
+        for v in [0.0, *np.geomspace(1e-4, 1e3, 60).tolist()]:
+            compiled.append(char_fn(us * math.sqrt(1.0 + 4.0 * v * v), v, n))
+            reference.append(numpy_char_fn(us * math.sqrt(1.0 + 4.0 * v * v), v, n))
+        compiled, reference = np.concatenate(compiled), np.concatenate(reference)
+        assert np.all(np.abs(compiled - reference) <= 1e-13 * np.abs(reference))
+        assert np.mean(compiled == reference) >= 0.99
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 16, 64])
+    def test_within_1e_12_of_reference_on_inner_rule_grid(self, n):
+        for x in {x for x, _ in inner_rule_grid(n)}:
+            with _OuterIntegrand(x, n) as h:
+                for _, v in [p for p in inner_rule_grid(n) if p[0] == x]:
+                    difference = abs(compiled_h(h, v) - reference_h(x, v, n))
+                    assert difference <= 1e-12 * modulus_integral(v, n), (x, v)
+
+    @pytest.mark.parametrize(
+        "x, y, n",
+        [
+            (*inversion_probe_points(5)[4], 5),
+            (*inversion_probe_points(6)[8], 6),
+            (*inversion_probe_points(8)[11], 8),
+            (3.0, 3.0 * 3.0 / 5, 5),  # y == x^2/n: the plain quad pass
+        ],
+    )
+    def test_every_v_quadpack_visits(self, x, y, n):
+        value, visited, evaluations = recorded_inversion(x, y, n, tol=1e-4)
+        assert value.hex() == invert_char_fn(x, y, n, tol=1e-4).value.hex()
+        distinct = set(visited)
+        # one inner rule per distinct v, shared by the cosine and sine passes
+        assert evaluations == len(distinct)
+        if y != x * x / n:
+            assert len(visited) > len(distinct)
+        with _OuterIntegrand(x, n) as h:
+            for v in sorted(distinct):
+                difference = abs(compiled_h(h, v) - reference_h(x, v, n))
+                assert difference <= 1e-12 * modulus_integral(v, n), v
+
+    def test_rule_too_large_to_evaluate(self):
+        # the panel count does not fit in an int64: NaN and a sticky failure, not a hang
+        with pytest.raises(DomainError, match="2\\^62 panels"):
+            _inner_cos_integral(1.0, 1e30, 5)
+        with _OuterIntegrand(1.0, 5) as h:
+            assert cmath.isnan(compiled_h(h, 1e30))
+            assert h.evaluations() == -1
+            compiled_h(h, 0.5)
+            assert h.evaluations() == -1
+
+
+class TestInversionAccuracyErrorPaths:
+    def test_truncation_alone_fails_before_any_quadrature(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("no outer integrand may be built")
+
+        monkeypatch.setattr("cwsoc.verification._OuterIntegrand", unused)
+        with pytest.raises(InversionAccuracyError, match="truncation error .* alone exceeds tol 1.000e-18"):
+            invert_char_fn(0.0, 5.0, 5, tol=1e-18)
+
+    def test_unmet_error_bound_fails(self):
+        # above the truncation term (4.54e-14) but below what QUADPACK reaches
+        with pytest.raises(InversionAccuracyError, match="reached error bound .* > tol 4.700e-14"):
+            invert_char_fn(0.0, 5.0, 5, tol=4.7e-14)
 
 
 class TestNormalization:
