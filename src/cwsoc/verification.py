@@ -39,7 +39,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import gammaln, logsumexp, roots_legendre
 
 from .limit_law import normalizer
-from .model import DomainError, UnsupportedOrderError, MIN_DENSITY_N, psi, psi_unchecked
+from .model import DomainError, UnsupportedOrderError, MIN_DENSITY_N, is_integer, psi, psi_unchecked
 
 __all__ = [
     "principal_log",
@@ -135,9 +135,10 @@ def char_fn(u, v: float, n: int):
     # imported here so that importing this module neither loads nor builds the kernel
     from ._native import kernel
 
+    n = _order(n, "char_fn", minimum=1)
     u = np.asarray(u, dtype=float, order="C")
     phi = np.empty(u.shape, dtype=complex)
-    kernel().cw_char_fn(u.ctypes.data, u.size, float(v), int(n), phi.ctypes.data)
+    kernel().cw_char_fn(u.ctypes.data, u.size, float(v), n, phi.ctypes.data)
     return complex(phi) if phi.ndim == 0 else phi
 
 
@@ -145,20 +146,32 @@ def char_fn(u, v: float, n: int):
 # closed-form density of the untilted (s, t) law and its inversion oracle
 # ---------------------------------------------------------------------------
 
+def _order(n, what: str, minimum: int = MIN_DENSITY_N) -> int:
+    """n as a Python int if it is an integer (numpy integers included, bool not)
+    of at least minimum; DomainError or UnsupportedOrderError naming what otherwise."""
+    if not is_integer(n):
+        raise DomainError(f"{what} requires an integer order n, got {n!r}")
+    if n < minimum:
+        raise UnsupportedOrderError(f"{what} requires n >= {minimum}, got n={n}")
+    return int(n)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _untilted_normalizer(n) -> tuple[int, float, float]:
+    """(int(n), (1/2) log(2^n pi n), log Gamma((n-1)/2)): the order, checked
+    once per order and type, and the two terms of the log normalizer of the
+    untilted (s, t) density at sigma = 1, sqrt(2^n pi n) Gamma((n-1)/2)."""
+    n = _order(n, "the closed-form density")
+    return n, 0.5 * (n * math.log(2.0) + math.log(math.pi * n)), float(gammaln(0.5 * (n - 1)))
+
+
 def log_density_closed_form(x: float, y: float, n: int) -> float:
     """Log of the closed-form density; -inf outside the open support x^2 < n y."""
-    if n < MIN_DENSITY_N:
-        raise UnsupportedOrderError(f"closed-form density requires n >= {MIN_DENSITY_N}, got {n}")
+    n, log_sqrt_2n_pi_n, log_gamma = _untilted_normalizer(n)
     gap = y - x * x / n
     if gap <= 0.0:
         return -math.inf
-    return _minus_log_untilted_normalizer(-0.5 * y + 0.5 * (n - 3) * math.log(gap), n)
-
-
-def _minus_log_untilted_normalizer(log_value: float, n: int) -> float:
-    """log_value - log(sqrt(2^n pi n) Gamma((n-1)/2)): divides by the normalizer
-    of the untilted (s, t) density at sigma = 1, in log space."""
-    return log_value - 0.5 * (n * math.log(2.0) + math.log(math.pi * n)) - float(gammaln(0.5 * (n - 1)))
+    return -0.5 * y + 0.5 * (n - 3) * math.log(gap) - log_sqrt_2n_pi_n - log_gamma
 
 
 def density_closed_form(x: float, y: float, n: int) -> float:
@@ -328,8 +341,7 @@ def invert_char_fn(x: float, y: float, n: int, tol: float) -> InversionResult:
     Raises InversionAccuracyError if the error bound exceeds tol, before any
     quadrature when the truncation term alone does.
     """
-    if n < MIN_DENSITY_N:
-        raise UnsupportedOrderError(f"characteristic function not integrable for n={n} < {MIN_DENSITY_N}")
+    n = _order(n, "Fourier inversion")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     inv_four_pi_sq = 1.0 / (_TWO_PI * _TWO_PI)
@@ -422,21 +434,32 @@ def _rescaled_cutoffs(n: int) -> tuple[float, float]:
 def _log_rescaled_mass(n: int, nodes: int) -> float:
     """log of the integral of exp(-n psi(x^2/sqrt(n), y)) (y - x^2/sqrt(n))^{-3/2}
     over the rescaled (critical-exponent) coordinates, by tensorized
-    Gauss-Legendre with a log-sum-exp accumulation."""
+    Gauss-Legendre with a log-sum-exp accumulation.
+
+    With rho_j = r_j + 1 for the reference nodes r_j and weights w_j, node i
+    of the x axis on [0, x_cut] maps to a_i = (h_x rho_i)^2 / sqrt(n), and
+    node j of its y column on [a_i, y_hi] to y_ij = a_i + h_i rho_j with
+    h_i = (y_hi - a_i)/2.  So y_ij - a_i = h_i rho_j, and the logarithm of each
+    weighted term splits into -(n/2)(y_ij - a_i/y_ij) + R_i + K_j, with
+    R_i = ((n-1)/2) log h_i + log(h_x w_i) + log 2 (evenness in x) and
+    K_j = ((n-3)/2) log rho_j + log w_j: only the rational part is evaluated
+    on the full grid, and y - a is never formed by a cancelling subtraction.
+    """
     x_cut, y_hi = _rescaled_cutoffs(n)
     ref_nodes, ref_weights = _gauss_legendre(nodes)
-    # x axis on [0, x_cut]; evenness contributes a factor 2
     hx = 0.5 * x_cut
-    xt = hx * (ref_nodes + 1.0)
-    wx = hx * ref_weights
+    rho = ref_nodes + 1.0
+    xt = hx * rho
     a = xt * xt / math.sqrt(n)
-    # y axis on [a_i, y_hi] per column
     hy = 0.5 * (y_hi - a)
-    yt = a[:, None] + hy[:, None] * (ref_nodes[None, :] + 1.0)
-    wy = hy[:, None] * ref_weights[None, :]
-    gap = yt - a[:, None]
-    log_integrand = -n * psi_unchecked(a[:, None], yt) - 1.5 * np.log(gap)
-    log_terms = log_integrand + np.log(wy) + np.log(wx)[:, None] + math.log(2.0)
+    row = 0.5 * (n - 1) * np.log(hy) + np.log(hx * ref_weights) + math.log(2.0)
+    column = 0.5 * (n - 3) * np.log(rho) + np.log(ref_weights)
+    log_terms = np.multiply.outer(hy, rho)
+    log_terms += a[:, None]
+    log_terms -= a[:, None] / log_terms
+    log_terms *= -0.5 * n
+    log_terms += row[:, None]
+    log_terms += column
     return float(logsumexp(log_terms))
 
 
@@ -450,13 +473,14 @@ def estimate_C_n(n: int) -> NormalizationEstimate:
     """Joint-density normalization constant, via log-space quadrature in
     rescaled coordinates (x/n^{3/4}, y/n); also derives log Z_n and enforces
     the convexity bound 0 <= log Z_n <= n/2."""
-    if n < MIN_DENSITY_N:
-        raise UnsupportedOrderError(f"normalization estimate requires n >= {MIN_DENSITY_N}, got {n}")
+    n = _order(n, "normalization estimate")
     coarse = _log_rescaled_mass(n, C_N_NODES)
     fine = _log_rescaled_mass(n, int(1.45 * C_N_NODES))
     quad_err = abs(fine - coarse) + 1e-13
     log_c = (1.75 + 0.5 * (n - 3)) * math.log(n) + fine
-    log_z = _minus_log_untilted_normalizer(log_c, n)
+    # log Z_n = log C_n minus the log normalizer of the untilted density
+    _, log_sqrt_2n_pi_n, log_gamma = _untilted_normalizer(n)
+    log_z = log_c - log_sqrt_2n_pi_n - log_gamma
     if not 0.0 <= log_z <= 0.5 * n:
         raise NormalizationBoundError(
             f"log Z_{n} = {log_z!r} escaped [0, {0.5 * n}]; implementation bug"
@@ -468,8 +492,7 @@ def log_C_n_by_raw_quadrature(n: int) -> float:
     """Second, independent route to log C_n: adaptive 2-d quadrature of the
     unrescaled integrand.  Only sensible for small n, where the integrand fits
     ordinary double precision."""
-    if n < MIN_DENSITY_N:
-        raise UnsupportedOrderError(f"raw-coordinate quadrature requires n >= {MIN_DENSITY_N}, got {n}")
+    n = _order(n, "raw-coordinate quadrature")
     x_cut, y_hi = _rescaled_cutoffs(n)
     x_max = x_cut * n**0.75
     y_max = y_hi * n
@@ -496,8 +519,7 @@ def laplace_ratio(n: int) -> float:
     """Ratio of C_n to its saddle-point asymptotic equivalent
     n^{7/4} n^{(n-3)/2} sqrt(4 pi / n) e^{-n/2} * (total quartic mass);
     tends to 1 as n grows."""
-    if n < MIN_DENSITY_N:
-        raise UnsupportedOrderError(f"laplace ratio requires n >= {MIN_DENSITY_N}, got {n}")
+    n = _order(n, "laplace ratio")
     log_mass = _log_rescaled_mass(n, LAPLACE_RATIO_NODES)
     log_rhs = 0.5 * math.log(4.0 * math.pi / n) - 0.5 * n + math.log(normalizer(1.0))
     return math.exp(log_mass - log_rhs)
@@ -570,9 +592,8 @@ def psi_grid_min_outside_box() -> float:
     Beyond the window [0, 6] x [1e-6, 8] psi exceeds 2.9, so the grid minimum
     is the global one.
     """
-    xs = np.linspace(0.0, GRID_X_MAX, GRID_M)
-    ys = np.linspace(1e-6, GRID_Y_MAX, GRID_M)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    xg = np.linspace(0.0, GRID_X_MAX, GRID_M)[:, None]
+    yg = np.linspace(1e-6, GRID_Y_MAX, GRID_M)[None, :]
     valid = yg > xg
     outside_box = (np.abs(xg) >= BOX_DELTA) | (np.abs(yg - 1.0) >= BOX_DELTA)
     mask = valid & outside_box
@@ -590,9 +611,8 @@ BOUND_GRID_M = 400
 def psi_quadratic_lower_bound_margin() -> float:
     """min over the DELTA_STAR-box of [psi - 1/2 - (x^2 + (y-1)^2)/8]; nonnegative
     means the local quadratic lower bound holds on that box."""
-    xs = np.linspace(0.0, DELTA_STAR, BOUND_GRID_M, endpoint=False)
-    ys = np.linspace(1.0 - DELTA_STAR, 1.0 + DELTA_STAR, BOUND_GRID_M + 1)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    xg = np.linspace(0.0, DELTA_STAR, BOUND_GRID_M, endpoint=False)[:, None]
+    yg = np.linspace(1.0 - DELTA_STAR, 1.0 + DELTA_STAR, BOUND_GRID_M + 1)[None, :]
     valid = yg > xg
     with np.errstate(divide="ignore", invalid="ignore"):
         margin = psi_unchecked(xg, yg) - 0.5 - (xg * xg + (yg - 1.0) ** 2) / 8.0

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln, hyp1f1, logsumexp
 
 from cwsoc._native import kernel
 from cwsoc.limit_law import QuarticLaw
-from cwsoc.model import DomainError, SupportError, UnsupportedOrderError
+from cwsoc.model import DomainError, SupportError, UnsupportedOrderError, psi_unchecked
 from cwsoc.verification import (
     CheckReport,
     NormalizationBoundError,
@@ -24,6 +25,7 @@ from cwsoc.verification import (
     gamma_law_cf,
     invert_char_fn,
     inversion_probe_points,
+    log_density_closed_form,
     ks_statistic,
     laplace_ratio,
     log_C_n_by_raw_quadrature,
@@ -44,7 +46,9 @@ from cwsoc.verification import (
     _OuterIntegrand,
     _gauss_legendre,
     _inner_cos_integral,
+    _log_rescaled_mass,
     _qawf,
+    _rescaled_cutoffs,
     suite_density,
 )
 
@@ -503,10 +507,43 @@ class TestInversionAccuracyErrorPaths:
             invert_char_fn(0.0, 5.0, 5, tol=4.7e-14)
 
 
-class TestNormalization:
-    def test_identity_between_constants_holds_by_construction(self):
-        from scipy.special import gammaln
+def psi_log_rescaled_mass(n, nodes):
+    """Reference oracle of _log_rescaled_mass: the same tensor Gauss-Legendre
+    grid, with -n psi(a, y) - (3/2) log(y - a) and the log weights evaluated
+    at every node and added up on the full grid."""
+    x_cut, y_hi = _rescaled_cutoffs(n)
+    ref_nodes, ref_weights = _gauss_legendre(nodes)
+    hx = 0.5 * x_cut
+    xt = hx * (ref_nodes + 1.0)
+    wx = hx * ref_weights
+    a = xt * xt / math.sqrt(n)
+    hy = 0.5 * (y_hi - a)
+    yt = a[:, None] + hy[:, None] * (ref_nodes[None, :] + 1.0)
+    wy = hy[:, None] * ref_weights[None, :]
+    gap = yt - a[:, None]
+    log_integrand = -n * psi_unchecked(a[:, None], yt) - 1.5 * np.log(gap)
+    log_terms = log_integrand + np.log(wy) + np.log(wx)[:, None] + math.log(2.0)
+    return float(logsumexp(log_terms))
 
+
+class TestSeparableGridMatchesPsiOracle:
+    @pytest.mark.parametrize("nodes", [220, 240, 319])
+    @pytest.mark.parametrize("n", [5, 6, 17, 30, 100, 400, 10**4, 10**6])
+    def test_within_1e_13_or_two_ulps(self, n, nodes):
+        # |log mass| grows like n/2, and at n = 1e4 and 1e6 one ulp of it
+        # (9.1e-13, 5.8e-11) exceeds 1e-13
+        expected = psi_log_rescaled_mass(n, nodes)
+        assert abs(_log_rescaled_mass(n, nodes) - expected) <= max(1e-13, 2.0 * np.spacing(abs(expected)))
+
+
+class TestNormalization:
+    @pytest.mark.parametrize("n", [*range(5, 31), 60, 200])
+    def test_log_Z_n_matches_kummer_function(self, n):
+        # Z_n = E[e^{nB/2}], B ~ Beta(1/2, (n-1)/2), is 1F1(1/2; n/2; n/2)
+        est = estimate_C_n(n)
+        assert abs(est.log_Z_n - math.log(hyp1f1(0.5, 0.5 * n, 0.5 * n))) <= est.quadrature_error_bound
+
+    def test_identity_between_constants_holds_by_construction(self):
         est = estimate_C_n(7)
         reconstructed = (
             est.log_C_n
@@ -532,6 +569,50 @@ class TestNormalization:
     def test_small_n_rejected(self):
         with pytest.raises(UnsupportedOrderError):
             estimate_C_n(4)
+
+
+class TestIntegerOrders:
+    """Every order n must be an integer; numpy integers act as Python ints."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: char_fn(0.3, 0.2, n),
+            lambda n: density_closed_form(0.0, 5.0, n),
+            lambda n: invert_char_fn(1.0, 5.0, n, 1e-3),
+            estimate_C_n,
+            log_C_n_by_raw_quadrature,
+            laplace_ratio,
+        ],
+        ids=["char_fn", "density_closed_form", "invert_char_fn", "estimate_C_n", "raw_quadrature", "laplace_ratio"],
+    )
+    @pytest.mark.parametrize("n", [5.5, 7.5, 100.5, 6.0, True, np.float64(7.0)])
+    def test_non_integer_order_rejected(self, call, n):
+        with pytest.raises(DomainError, match="integer order"):
+            call(n)
+
+    def test_float_order_rejected_after_its_integer_was_cached(self):
+        # np.int64(6) == np.float64(6.0), and an untyped cache key treats them as one
+        assert density_closed_form(0.0, 6.0, np.int64(6)) > 0.0
+        with pytest.raises(DomainError, match="integer order"):
+            density_closed_form(0.0, 6.0, np.float64(6.0))
+
+    def test_numpy_integer_order_gives_python_values(self):
+        est = estimate_C_n(np.int64(7))
+        assert est == estimate_C_n(7)
+        assert type(est.n) is int
+        assert all(type(f) is float for f in (est.log_C_n, est.log_Z_n, est.quadrature_error_bound))
+        assert type(laplace_ratio(np.int32(100))) is float
+        assert char_fn(0.3, 0.2, np.int64(5)) == char_fn(0.3, 0.2, 5)
+        assert type(log_density_closed_form(1.0, 6.0, np.int16(6))) is float
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 40])
+    def test_cached_normalizer_keeps_the_bits(self, n):
+        for x, y in ((0.0, 5.0), (1.3, 0.8 * n), (2.0, 1.7 * n)):
+            gap = y - x * x / n
+            log_value = -0.5 * y + 0.5 * (n - 3) * math.log(gap)
+            expected = log_value - 0.5 * (n * math.log(2.0) + math.log(math.pi * n)) - float(gammaln(0.5 * (n - 1)))
+            assert log_density_closed_form(x, y, n) == expected
 
 
 class TestLaplaceRatio:
