@@ -5,7 +5,14 @@
  *                         verification._inner_cos_integral;
  *   cw_outer_new, cw_outer_re, cw_outer_im, cw_outer_evaluations and
  *   cw_outer_free         the outer integrand of verification.invert_char_fn,
- *                         which QUADPACK calls through scipy.LowLevelCallable.
+ *                         which QUADPACK calls through scipy.LowLevelCallable;
+ *   cw_log_density and    the closed-form (s, t) density,
+ *   cw_density            verification.log_density_closed_form and
+ *                         density_closed_form, and the integrand of the
+ *                         total-mass check;
+ *   cw_gauss_re and       the integrand of the complex suite's Gaussian-
+ *   cw_gauss_im           integral oracle.
+ * The entries QUADPACK calls have scipy.LowLevelCallable's signatures.
  *
  * cw_sweeps runs whole sweeps.  Each sweep draws its n sites, n proposal
  * normals and n acceptance uniforms on the chain's own numpy bit generator
@@ -441,4 +448,62 @@ double cw_outer_re(double v, void *h)
 double cw_outer_im(double v, void *h)
 {
     return cw_outer_value(h, v).im;
+}
+
+/* The log density of the untilted (s, t) law at sigma = 1 at (x, y), with
+ * c = {n, (1/2) log(2^n pi n), log Gamma((n-1)/2)}:
+ *     -y/2 + ((n-3)/2) log(y - x^2/n) - c[1] - c[2],
+ * operation by operation as Python evaluates that expression; -inf outside
+ * the open support x^2 < n y. */
+static double cw_log_density_at(double x, double y, const double *c)
+{
+    double gap = y - x * x / c[0];
+    if (gap <= 0.0) {
+        return -INFINITY;
+    }
+    return -0.5 * y + 0.5 * (c[0] - 3.0) * log(gap) - c[1] - c[2];
+}
+
+/* The log density and the density (zero outside the support) at xx = {y, x},
+ * data = c of cw_log_density_at, for scipy.LowLevelCallable as
+ * double (int, double *, void *): dblquad passes the inner variable y
+ * first. */
+double cw_log_density(int nargs, double *xx, void *data)
+{
+    (void)nargs;
+    return cw_log_density_at(xx[1], xx[0], data);
+}
+
+double cw_density(int nargs, double *xx, void *data)
+{
+    (void)nargs;
+    return exp(cw_log_density_at(xx[1], xx[0], data));
+}
+
+/* exp(i t x - zeta x^2 / 2) at x, data = {t, Re zeta, Im zeta}: the complex
+ * products of the Python expression cmath.exp(1j * t * x - 0.5 * zeta * x * x)
+ * step by step, each real operand a complex with zero imaginary part as
+ * CPython takes it, then cmath.exp's exp(re) cos(im) and exp(re) sin(im).
+ * For Re zeta > 0 the real part of the exponent is never positive, so
+ * cmath.exp's branch for large real parts is never taken. */
+static cw_complex cw_gauss_at(double x, const double *data)
+{
+    cw_complex real_x = {x, 0.0};
+    cw_complex phase = cw_mul(cw_mul((cw_complex){0.0, 1.0}, (cw_complex){data[0], 0.0}), real_x);
+    cw_complex decay = cw_mul(cw_mul(cw_mul((cw_complex){0.5, 0.0}, (cw_complex){data[1], data[2]}), real_x), real_x);
+    double l = exp(phase.re - decay.re);
+    double angle = phase.im - decay.im;
+    return (cw_complex){l * cos(angle), l * sin(angle)};
+}
+
+/* Its real and imaginary parts, for scipy.LowLevelCallable as
+ * double (double, void *). */
+double cw_gauss_re(double x, void *data)
+{
+    return cw_gauss_at(x, data).re;
+}
+
+double cw_gauss_im(double x, void *data)
+{
+    return cw_gauss_at(x, data).im;
 }

@@ -154,8 +154,8 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     Records carry (sweep, s, t, s/n^{3/4}, t/n) and are bit-reproducible given
     (params, cfg, chain_id).
     """
-    if sweeps < 0:
-        raise DomainError(f"sweeps must be nonnegative, got {sweeps!r}")
+    if not (is_integer(sweeps) and sweeps >= 0):
+        raise DomainError(f"sweeps must be a nonnegative integer, got {sweeps!r}")
     n = chain.params.n
     x = chain.x
     if not (

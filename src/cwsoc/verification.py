@@ -19,6 +19,15 @@ Design notes
   the node-by-node numpy rule as their oracles.
   Phi_n(u, -v) = conj Phi_n(u, v), so only the v >= 0 half is integrated and
   the inverted density has no imaginary part to report.
+* The closed-form density is one compiled function that
+  log_density_closed_form and density_closed_form wrap and that the
+  total-mass check hands to dblquad; the complex suite's Gaussian-integral
+  oracle integrates a compiled integrand.  Both keep the operations of the
+  Python expressions the tests hold as their oracles.  The raw route
+  log_C_n_by_raw_quadrature is the one quadrature left that calls Python at
+  its nodes, so that the laplace suite never loads the kernel.  The
+  normalization grids sum their exponentials in place, with the bits of
+  scipy.special.logsumexp, which the tests keep as the oracle.
 * The principal complex logarithm is implemented with the half-angle
   arctangent formula and that form is the source of truth; the test suite
   cross-checks it against a two-argument arctangent.
@@ -36,7 +45,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy import LowLevelCallable
 from scipy.integrate import dblquad, quad
-from scipy.special import gammaln, logsumexp, roots_legendre
+from scipy.special import gammaln, roots_legendre
 
 from .limit_law import normalizer
 from .model import DomainError, UnsupportedOrderError, MIN_DENSITY_N, is_integer, psi, psi_unchecked
@@ -165,19 +174,29 @@ def _untilted_normalizer(n) -> tuple[int, float, float]:
     return n, 0.5 * (n * math.log(2.0) + math.log(math.pi * n)), float(gammaln(0.5 * (n - 1)))
 
 
+def _density_data(n) -> ctypes.Array:
+    """_untilted_normalizer(n) as the C double[3] the compiled density
+    (cw_log_density, cw_density of ``_kernel.c``) takes as its data."""
+    return (ctypes.c_double * 3)(*_untilted_normalizer(n))
+
+
 def log_density_closed_form(x: float, y: float, n: int) -> float:
-    """Log of the closed-form density; -inf outside the open support x^2 < n y."""
-    n, log_sqrt_2n_pi_n, log_gamma = _untilted_normalizer(n)
-    gap = y - x * x / n
-    if gap <= 0.0:
-        return -math.inf
-    return -0.5 * y + 0.5 * (n - 3) * math.log(gap) - log_sqrt_2n_pi_n - log_gamma
+    """Log of the closed-form density; -inf outside the open support x^2 < n y.
+    Computed by cw_log_density of the compiled kernel (``_kernel.c``)."""
+    from ._native import kernel
+
+    data = _density_data(n)
+    return kernel().cw_log_density(2, (ctypes.c_double * 2)(y, x), data)
 
 
 def density_closed_form(x: float, y: float, n: int) -> float:
-    """Density of the n-fold untilted (s, t) law at sigma = 1; zero outside support."""
-    val = log_density_closed_form(x, y, n)
-    return 0.0 if val == -math.inf else math.exp(val)
+    """Density of the n-fold untilted (s, t) law at sigma = 1; zero outside support.
+    Computed by cw_density of the compiled kernel, the exponential of
+    log_density_closed_form's value."""
+    from ._native import kernel
+
+    data = _density_data(n)
+    return kernel().cw_density(2, (ctypes.c_double * 2)(y, x), data)
 
 
 class InversionAccuracyError(RuntimeError):
@@ -344,6 +363,10 @@ def invert_char_fn(x: float, y: float, n: int, tol: float) -> InversionResult:
     n = _order(n, "Fourier inversion")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    # QUADPACK's Fourier transform crashes the interpreter on a non-finite
+    # frequency or integrand value
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"Fourier inversion requires a finite point, got (x={x!r}, y={y!r})")
     inv_four_pi_sq = 1.0 / (_TWO_PI * _TWO_PI)
     # Truncation of the inner integral at q Gaussian widths.  The quadrature
     # error only adds to this term, so a tol below it cannot be met.
@@ -431,10 +454,9 @@ def _rescaled_cutoffs(n: int) -> tuple[float, float]:
     return x_cut, y_hi
 
 
-def _log_rescaled_mass(n: int, nodes: int) -> float:
-    """log of the integral of exp(-n psi(x^2/sqrt(n), y)) (y - x^2/sqrt(n))^{-3/2}
-    over the rescaled (critical-exponent) coordinates, by tensorized
-    Gauss-Legendre with a log-sum-exp accumulation.
+def _rescaled_log_terms(n: int, nodes: int) -> np.ndarray:
+    """The logarithms of the weighted terms of _log_rescaled_mass's grid, a
+    fresh nodes x nodes array.
 
     With rho_j = r_j + 1 for the reference nodes r_j and weights w_j, node i
     of the x axis on [0, x_cut] maps to a_i = (h_x rho_i)^2 / sqrt(n), and
@@ -460,7 +482,21 @@ def _log_rescaled_mass(n: int, nodes: int) -> float:
     log_terms *= -0.5 * n
     log_terms += row[:, None]
     log_terms += column
-    return float(logsumexp(log_terms))
+    return log_terms
+
+
+def _log_rescaled_mass(n: int, nodes: int) -> float:
+    """log of the integral of exp(-n psi(x^2/sqrt(n), y)) (y - x^2/sqrt(n))^{-3/2}
+    over the rescaled (critical-exponent) coordinates, by tensorized
+    Gauss-Legendre with a log-sum-exp accumulation: the grid is shifted by its
+    maximum and exponentiated in place.  On the 54 grids of the report this
+    gives scipy.special.logsumexp's bits, which the tests keep as its oracle.
+    """
+    log_terms = _rescaled_log_terms(n, nodes)
+    top = log_terms.max()
+    log_terms -= top
+    np.exp(log_terms, out=log_terms)
+    return float(top + math.log(log_terms.sum()))
 
 
 # Gauss-Legendre nodes per axis: estimate_C_n's coarse grid (its fine grid has
@@ -692,13 +728,20 @@ _GAUSS_INTEGRAL_GRID_ZETA = (1.0 + 0.0j, 1.0 + 2.0j, 1.0 - 2.0j, 0.2 + 3.0j)
 
 
 def _gaussian_integral_by_quadrature(t: float, zeta: complex) -> complex:
-    def f(x: float) -> complex:
-        return cmath.exp(1j * t * x - 0.5 * zeta * x * x)
+    """The integral of exp(i t x - zeta x^2 / 2) by adaptive quadrature of its
+    real and imaginary parts.  QUADPACK calls the compiled integrand
+    (cw_gauss_re and cw_gauss_im of ``_kernel.c``), which gives the bits of
+    cmath.exp(1j * t * x - 0.5 * zeta * x * x), the tests' oracle of it."""
+    from ._native import kernel
 
+    lib = kernel()
+    zeta = complex(zeta)
+    values = (ctypes.c_double * 3)(t, zeta.real, zeta.imag)
+    data = ctypes.cast(values, ctypes.c_void_p)
     # envelope exp(-Re(zeta) x^2 / 2) below 1e-13 at the cutoff
     cutoff = max(12.0, math.sqrt(60.0 / zeta.real))
-    re, _ = quad(lambda x: f(x).real, -cutoff, cutoff, epsabs=1e-12, limit=400)
-    im, _ = quad(lambda x: f(x).imag, -cutoff, cutoff, epsabs=1e-12, limit=400)
+    re, _ = quad(LowLevelCallable(lib.cw_gauss_re, data), -cutoff, cutoff, epsabs=1e-12, limit=400)
+    im, _ = quad(LowLevelCallable(lib.cw_gauss_im, data), -cutoff, cutoff, epsabs=1e-12, limit=400)
     return complex(re, im)
 
 
@@ -710,8 +753,8 @@ def suite_complex(tols: Mapping[str, float]) -> list[CheckReport]:
     )
     rng = np.random.Generator(np.random.PCG64(20240917))
     worst = 0.0
-    for _ in range(1000):
-        z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+    for re, im in rng.uniform(-4, 4, size=(1000, 2)).tolist():
+        z = complex(re, im)
         if z.imag == 0.0 and z.real <= 0.0:
             continue
         expected = complex(0.5 * math.log(abs(z) ** 2), math.atan2(z.imag, z.real))
@@ -781,12 +824,18 @@ def suite_complex(tols: Mapping[str, float]) -> list[CheckReport]:
 
 
 def _closed_form_mass(n: int) -> float:
-    """Total mass of the closed-form density by nested adaptive quadrature."""
+    """Total mass of the closed-form density by nested adaptive quadrature;
+    QUADPACK calls the compiled density (cw_density) through
+    scipy.LowLevelCallable."""
     x_cut, y_hi = _rescaled_cutoffs(n)
     x_max = x_cut * n**0.75
     y_max = y_hi * n
+    from ._native import kernel
+
+    data = _density_data(n)
+    density = LowLevelCallable(kernel().cw_density, ctypes.cast(data, ctypes.c_void_p))
     val, _ = dblquad(
-        lambda y, x: density_closed_form(x, y, n),
+        density,
         0.0,
         x_max,
         lambda x: x * x / n,

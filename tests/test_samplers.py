@@ -147,6 +147,17 @@ class TestRun:
         with pytest.raises(DomainError):
             run(chain, -1)
 
+    @pytest.mark.parametrize("sweeps", [3.0, True, np.float64(3.0), 2.5, "3"])
+    def test_non_integer_sweeps_rejected(self, sweeps):
+        chain = init_chain(ModelParams(8, 1.0), SamplerConfig(seed=1))
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            run(chain, sweeps)
+
+    def test_numpy_integer_sweeps_accepted(self):
+        config = SamplerConfig(burn_in_sweeps=0, seed=1)
+        expected = run(init_chain(ModelParams(8, 1.0), config), 12)
+        assert run(init_chain(ModelParams(8, 1.0), config), np.int64(12)) == expected
+
     @pytest.mark.parametrize("make_x", [
         lambda: np.ones(16)[::2],
         lambda: np.ones(8, dtype=np.float32),

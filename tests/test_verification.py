@@ -1,6 +1,7 @@
 """Tests for the complex-analytic checks, Fourier inversion and Laplace analysis."""
 
 import cmath
+import ctypes
 import functools
 import math
 
@@ -37,18 +38,26 @@ from cwsoc.verification import (
     run_suites,
 )
 from cwsoc.verification import (
+    C_N_NODES,
+    LAPLACE_ORDERS,
+    LAPLACE_RATIO_NODES,
     PANEL_NODES,
     PANEL_PHASE,
     Q_WIDTHS,
     TOLERANCES,
+    _GAUSS_INTEGRAL_GRID_T,
+    _GAUSS_INTEGRAL_GRID_ZETA,
     _TWO_PI,
     InversionAccuracyError,
     _OuterIntegrand,
+    _closed_form_mass,
     _gauss_legendre,
+    _gaussian_integral_by_quadrature,
     _inner_cos_integral,
     _log_rescaled_mass,
     _qawf,
     _rescaled_cutoffs,
+    _rescaled_log_terms,
     suite_density,
 )
 
@@ -179,6 +188,13 @@ class TestCharFn:
         ) ** (-n / 4.0)
         assert abs(char_fn(u, v, n)) == pytest.approx(expected, rel=1e-12)
 
+    def test_compiled_log_inverts_one_minus_2iv(self):
+        # Phi_2(0, v) = exp(-Log(1 - 2iv)) = 1/(1 - 2iv), through the compiled
+        # Log (C library hypot) that the inversion integrates
+        vs = np.geomspace(1e-8, 1e12, 401).tolist()
+        for v in (*vs, *(-v for v in vs)):
+            assert abs(char_fn(0.0, v, 2) * complex(1.0, -2.0 * v) - 1.0) <= 1e-14, v
+
     @pytest.mark.parametrize("v, n", [(0.0, 5), (0.3, 6), (-2.5, 8), (37.25, 16)])
     def test_array_equals_elementwise_scalar_calls(self, v, n):
         us = np.concatenate([[0.0, -1.7, 1e-3], np.linspace(0.0, 12.0, 97)])
@@ -188,6 +204,39 @@ class TestCharFn:
         assert phi.shape == us.shape
         assert [c.hex() for c in phi.real] == [c.real.hex() for c in scalars]
         assert [c.hex() for c in phi.imag] == [c.imag.hex() for c in scalars]
+
+
+def python_log_density(x, y, n):
+    """Reference oracle of the compiled closed-form log density: its formula
+    in Python, in the operation order the compiled one keeps."""
+    gap = y - x * x / n
+    if gap <= 0.0:
+        return -math.inf
+    return (
+        -0.5 * y
+        + 0.5 * (n - 3) * math.log(gap)
+        - 0.5 * (n * math.log(2.0) + math.log(math.pi * n))
+        - float(gammaln(0.5 * (n - 1)))
+    )
+
+
+def recording_low_level_callables(monkeypatch, call):
+    """Replaces verification's scipy.LowLevelCallable by Python functions that
+    evaluate the same compiled function, through call(func, args, data), so
+    that QUADPACK visits the same points; returns the list in which every
+    (function name, args) asked for is recorded."""
+    visited = []
+
+    def recording(func, data):
+        def f(*args):
+            visited.append((func.__name__, args))
+            return call(func, args, data)
+
+        return f
+
+    monkeypatch.setattr("cwsoc.verification.LowLevelCallable", recording)
+    return visited
+
 
 
 class TestClosedFormDensity:
@@ -203,6 +252,47 @@ class TestClosedFormDensity:
     def test_small_n_rejected(self):
         with pytest.raises(UnsupportedOrderError):
             density_closed_form(0.0, 4.0, 4)
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 13, 64, 1000])
+    def test_compiled_density_keeps_the_python_bits(self, n):
+        edge = math.sqrt(n * 2.0)  # x^2 = n y at y = 2
+        points = [(0.0, 5.0), (edge, 2.0), (-edge, 2.0), (4.0, -1.0), (0.0, 0.0), (1e-300, 1e-300)]
+        xs, ys = np.linspace(-3.0 * n, 3.0 * n, 23).tolist(), np.geomspace(0.01, 5.0 * n, 29).tolist()
+        points += [(x, y) for x in xs for y in ys]
+        for x, y in points:
+            expected = python_log_density(x, y, n)
+            assert log_density_closed_form(x, y, n) == expected, (x, y)
+            assert density_closed_form(x, y, n) == (0.0 if expected == -math.inf else math.exp(expected)), (x, y)
+
+    def test_every_point_the_mass_quadrature_visits(self, monkeypatch):
+        mass = _closed_form_mass(6)
+        visited = recording_low_level_callables(
+            monkeypatch, lambda func, args, data: func(2, (ctypes.c_double * 2)(*args), data)
+        )
+        assert _closed_form_mass(6).hex() == mass.hex()
+        assert len(visited) > 10000 and {name for name, _ in visited} == {"cw_density"}
+        for _, (y, x) in visited:
+            expected = python_log_density(x, y, 6)
+            assert density_closed_form(x, y, 6) == (0.0 if expected == -math.inf else math.exp(expected)), (x, y)
+
+
+class TestCompiledGaussianIntegrand:
+    """The compiled integrand of _gaussian_integral_by_quadrature against the
+    cmath expression it replaces, its oracle."""
+
+    @pytest.mark.parametrize("zeta", _GAUSS_INTEGRAL_GRID_ZETA)
+    @pytest.mark.parametrize("t", _GAUSS_INTEGRAL_GRID_T)
+    def test_every_point_quadpack_visits(self, monkeypatch, t, zeta):
+        value = _gaussian_integral_by_quadrature(t, zeta)
+        visited = recording_low_level_callables(monkeypatch, lambda func, args, data: func(*args, data))
+        assert repr(_gaussian_integral_by_quadrature(t, zeta)) == repr(value)
+        assert {name for name, _ in visited} == {"cw_gauss_re", "cw_gauss_im"}
+        lib = kernel()
+        data = (ctypes.c_double * 3)(t, zeta.real, zeta.imag)
+        for _, (x,) in visited:
+            expected = cmath.exp(1j * t * x - 0.5 * zeta * x * x)
+            assert lib.cw_gauss_re(x, data).hex() == expected.real.hex(), x
+            assert lib.cw_gauss_im(x, data).hex() == expected.imag.hex(), x
 
 
 class TestInversion:
@@ -223,6 +313,18 @@ class TestInversion:
     def test_small_n_rejected(self):
         with pytest.raises(UnsupportedOrderError):
             invert_char_fn(0.0, 4.0, 4, tol=1e-4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_point_rejected_before_any_quadrature(self, monkeypatch, axis, bad):
+        # QUADPACK's Fourier transform crashes the interpreter on these
+        def unused(*args):
+            raise AssertionError("no outer integrand may be built")
+
+        monkeypatch.setattr("cwsoc.verification._OuterIntegrand", unused)
+        point = {"x": 1.0, "y": 5.0, axis: bad}
+        with pytest.raises(DomainError, match="finite point"):
+            invert_char_fn(point["x"], point["y"], 5, tol=1e-3)
 
     def test_unreachable_tolerance_fails_loudly(self):
         from cwsoc.verification import InversionAccuracyError
@@ -534,6 +636,20 @@ class TestSeparableGridMatchesPsiOracle:
         # (9.1e-13, 5.8e-11) exceeds 1e-13
         expected = psi_log_rescaled_mass(n, nodes)
         assert abs(_log_rescaled_mass(n, nodes) - expected) <= max(1e-13, 2.0 * np.spacing(abs(expected)))
+
+
+class TestGridSumKeepsScipyBits:
+    """_log_rescaled_mass's in-place sum against scipy.special.logsumexp of the
+    same grid, on the 54 grids of the report: estimate_C_n's two at every
+    order of the laplace suite and laplace_ratio's at n = 100 and 400."""
+
+    @pytest.mark.parametrize(
+        "n, nodes",
+        [(n, nodes) for n in LAPLACE_ORDERS for nodes in (C_N_NODES, int(1.45 * C_N_NODES))]
+        + [(100, LAPLACE_RATIO_NODES), (400, LAPLACE_RATIO_NODES)],
+    )
+    def test_bit_equal(self, n, nodes):
+        assert _log_rescaled_mass(n, nodes).hex() == float(logsumexp(_rescaled_log_terms(n, nodes))).hex()
 
 
 class TestNormalization:
