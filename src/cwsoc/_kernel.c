@@ -18,13 +18,17 @@
  * normals and n acceptance uniforms on the chain's own numpy bit generator
  * through the functions numpy.random.Generator calls for
  * integers(0, n, size=n), standard_normal(n) and random(n), in that order,
- * so the stream is the one the Python API would consume.
+ * so the stream is the one the Python API would consume.  With a translation
+ * scale d > 0, each sweep then ends with one translation x -> x + delta 1,
+ * delta = d z, drawing z as standard_normal(1) and its acceptance uniform as
+ * random(1); with d = 0 it draws nothing more.
  *
  * Its static helper cw_metropolis runs one single-site random-walk step per
- * drawn (site, normal, uniform) triple.  Its floating-point operations are
- * those of the reference loop in the tests, in the same order, and it calls
- * the C library's exp as math.exp does; built without FMA contraction or
- * -ffast-math, it accepts and rejects exactly as that loop does.
+ * drawn (site, normal, uniform) triple, and cw_translate runs the
+ * translation.  Their floating-point operations are those of the reference
+ * loop in the tests, in the same order, and cw_accept calls the C library's
+ * exp as math.exp does; built without FMA contraction or -ffast-math, they
+ * accept and reject exactly as that loop does.
  *
  * Phi_n(u, v) = exp(-(n/2) (u^2 / (1 - 2iv) + Log(1 - 2iv))) is computed
  * with the operations of the numpy expression the tests keep as its oracle,
@@ -53,9 +57,24 @@ void random_bounded_uint64_fill(bitgen_t *state, uint64_t off, uint64_t rng, int
 void random_standard_normal_fill(bitgen_t *state, intptr_t cnt, double *out);
 void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
 
+/* Whether the Metropolis rule with uniform u accepts the move from (s, t) to
+ * (s_new, t_new): the log ratio of exp(s^2/(2t) - t/(2 sigma^2)) is
+ * nonnegative or exceeds log u.  A proposal whose t would not be positive
+ * (float cancellation only) is rejected outright. */
+static bool cw_accept(double s, double t, double s_new, double t_new, double u, double inv_two_sigma_sq)
+{
+    if (!(t_new > 0.0)) {
+        return false;
+    }
+    double delta = s_new * s_new / (2.0 * t_new)
+                   - t_new * inv_two_sigma_sq
+                   - s * s / (2.0 * t)
+                   + t * inv_two_sigma_sq;
+    return delta >= 0.0 || u < exp(delta);
+}
+
 /* Steps x and the cached st = {s, t} through m proposals; returns the number
- * accepted.  A proposal whose t would not be positive (float cancellation
- * only) is rejected outright. */
+ * accepted. */
 static int64_t cw_metropolis(double *x, double *st, const int64_t *sites, const double *normals,
                              const double *uniforms, int64_t m, double scale, double inv_two_sigma_sq)
 {
@@ -68,14 +87,7 @@ static int64_t cw_metropolis(double *x, double *st, const int64_t *sites, const 
         double new = old + scale * normals[i];
         double s_new = s - old + new;
         double t_new = t - old * old + new * new;
-        if (!(t_new > 0.0)) {
-            continue;
-        }
-        double delta = s_new * s_new / (2.0 * t_new)
-                       - t_new * inv_two_sigma_sq
-                       - s * s / (2.0 * t)
-                       + t * inv_two_sigma_sq;
-        if (delta >= 0.0 || uniforms[i] < exp(delta)) {
+        if (cw_accept(s, t, s_new, t_new, uniforms[i], inv_two_sigma_sq)) {
             x[k] = new;
             s = s_new;
             t = t_new;
@@ -87,11 +99,36 @@ static int64_t cw_metropolis(double *x, double *st, const int64_t *sites, const 
     return accepted;
 }
 
-/* Runs `sweeps` sweeps of n steps each, writing the cached (s, t) after
- * sweep i to s_out[i] and t_out[i]; returns the number of accepted
- * proposals, or -1 when the draw buffers cannot be allocated. */
+/* One translation of all n spins by delta = d z, z and u drawn here: it
+ * leaves t - s^2/n unchanged and moves s by n delta, so (s, t) is updated in
+ * O(1) and the n spins only when it is accepted.  The move is symmetric and
+ * preserves volume, so it is accepted by the single-site steps' rule. */
+static void cw_translate(bitgen_t *bitgen, double *x, int64_t n, double *st, double d, double inv_two_sigma_sq)
+{
+    double z;
+    double u;
+    random_standard_normal_fill(bitgen, 1, &z);
+    random_standard_uniform_fill(bitgen, 1, &u);
+    double delta = d * z;
+    double s = st[0];
+    double t = st[1];
+    double s_new = s + (double)n * delta;
+    double t_new = t + 2.0 * delta * s + (double)n * delta * delta;
+    if (cw_accept(s, t, s_new, t_new, u, inv_two_sigma_sq)) {
+        for (int64_t k = 0; k < n; k++) {
+            x[k] += delta;
+        }
+        st[0] = s_new;
+        st[1] = t_new;
+    }
+}
+
+/* Runs `sweeps` sweeps of n steps each, each followed by one translation of
+ * scale d when d > 0, writing the cached (s, t) after sweep i to s_out[i]
+ * and t_out[i]; returns the number of accepted single-site proposals, or -1
+ * when the draw buffers cannot be allocated. */
 int64_t cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double *st, int64_t sweeps,
-                  double scale, double inv_two_sigma_sq, double *s_out, double *t_out)
+                  double scale, double inv_two_sigma_sq, double d, double *s_out, double *t_out)
 {
     uint64_t *sites = malloc((size_t)n * sizeof *sites);
     double *normals = malloc((size_t)n * sizeof *normals);
@@ -105,6 +142,9 @@ int64_t cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double *st, int64_t sw
             random_standard_uniform_fill(bitgen, n, uniforms);
             accepted += cw_metropolis(x, st, (const int64_t *)sites, normals, uniforms, n,
                                       scale, inv_two_sigma_sq);
+            if (d > 0.0) {
+                cw_translate(bitgen, x, n, st, d, inv_two_sigma_sq);
+            }
             s_out[i] = st[0];
             t_out[i] = st[1];
         }

@@ -26,6 +26,7 @@ __all__ = [
     "MIN_DENSITY_N",
     "is_integer",
     "positive_real",
+    "nonnegative_real",
     "compensated_sum",
     "sum_stats",
     "interaction_energy",
@@ -59,11 +60,23 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    """A finite real of any real type (numpy scalars included) except bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def positive_real(value, name: str) -> float:
     """value as a Python float if it is a finite positive real of any real type
     (numpy scalars included) except bool; DomainError naming it otherwise."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value > 0):
+    if not (_is_finite_real(value) and value > 0):
         raise DomainError(f"{name} must be a positive finite real, got {value!r}")
+    return float(value)
+
+
+def nonnegative_real(value, name: str) -> float:
+    """As positive_real, but zero is allowed too."""
+    if not (_is_finite_real(value) and value >= 0):
+        raise DomainError(f"{name} must be a nonnegative finite real, got {value!r}")
     return float(value)
 
 

@@ -18,6 +18,10 @@ Per sweep the draws come in three blocks, n sites, n proposal normals and n
 acceptance uniforms, which the kernel takes from the chain's bit generator
 through numpy's own C samplers: the stream is the one
 ``integers(0, n, size=n)``, ``standard_normal(n)`` and ``random(n)`` give.
+When ``SamplerConfig.translate_scale`` is positive, each sweep ends with one
+translation move, whose draws follow the three blocks: one normal and one
+uniform, as ``standard_normal(1)`` and ``random(1)`` give them.  With
+``translate_scale`` 0 nothing more is drawn, so the stream is unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import DomainError, ModelParams, is_integer, positive_real, sum_stats
+from .model import DomainError, ModelParams, is_integer, nonnegative_real, positive_real, sum_stats
 
 __all__ = [
     "SamplerConfig",
@@ -57,21 +61,27 @@ IMPORTANCE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Metropolis chain settings.  One sweep is n single-site steps.
+    """Metropolis chain settings.  One sweep is n single-site steps, followed,
+    when translate_scale is positive, by one translation move.
 
     The default proposal scale is the classic 2.38 random-walk heuristic (in
-    units of sigma); there is no adaptive tuning.  Burn-in defaults are
-    empirical, not theory-backed.  Numpy scalars are accepted, bool is not;
-    the fields are stored as a Python float and Python ints.
+    units of sigma); there is no adaptive tuning.  The translation move
+    x -> x + delta*(1, ..., 1) draws delta ~ N(0, d^2) with
+    d = translate_scale * sigma * n^(-1/4); it leaves t - s^2/n unchanged and
+    moves s by n*delta, the slow direction of single-site steps.  Burn-in
+    defaults are empirical, not theory-backed.  Numpy scalars are accepted,
+    bool is not; the fields are stored as Python floats and Python ints.
     """
 
     proposal_scale: float = 2.38
     burn_in_sweeps: int = 1000
     thin_sweeps: int = 1
     seed: int = 0
+    translate_scale: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "proposal_scale", positive_real(self.proposal_scale, "proposal_scale"))
+        object.__setattr__(self, "translate_scale", nonnegative_real(self.translate_scale, "translate_scale"))
         if not (is_integer(self.burn_in_sweeps) and self.burn_in_sweeps >= 0):
             raise DomainError(f"burn_in_sweeps must be a nonnegative integer, got {self.burn_in_sweeps!r}")
         if not (is_integer(self.thin_sweeps) and self.thin_sweeps >= 1):
@@ -145,9 +155,14 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     """Advance the chain by `sweeps` sweeps, recording thinned post-burn-in stats.
 
     Each sweep is n single-site steps whose draws come per sweep in three
-    blocks: n sites, n proposal normals, n acceptance uniforms.  Cached (s, t)
-    are recomputed from the configuration whenever the chain's sweep count
-    reaches a multiple of RESYNC_EVERY_SWEEPS.
+    blocks: n sites, n proposal normals, n acceptance uniforms.  When
+    cfg.translate_scale is positive, the sweep ends with one translation of
+    every spin by delta = d*z, d = translate_scale * sigma * n^(-1/4), drawing
+    one normal z and then one uniform after the three blocks; it is accepted
+    by the single-site rule, and chain.accepted and chain.proposed count the
+    single-site steps only.  Cached (s, t) are recomputed from the
+    configuration whenever the chain's sweep count reaches a multiple of
+    RESYNC_EVERY_SWEEPS.
 
     Sweep i (1-based, counted from the start of this call) is recorded when
     i > burn_in_sweeps and (i - burn_in_sweeps) is a multiple of thin_sweeps.
@@ -168,6 +183,7 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
         raise DomainError("chain.x must be a writeable contiguous float64 array of n spins")
     sigma = chain.params.sigma
     scale, inv_two_sigma_sq = chain.cfg.proposal_scale * sigma, 1.0 / (2.0 * sigma**2)
+    translate = chain.cfg.translate_scale * sigma * n**-0.25
     burn, thin = chain.cfg.burn_in_sweeps, chain.cfg.thin_sweeps
     s_denom = float(n) ** 0.75
     records: list[SampleRecord] = []
@@ -189,7 +205,7 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
         st[:] = chain.s, chain.t
         with bit_generator.lock:
             accepted = lib.cw_sweeps(
-                bitgen, x.ctypes.data, n, st.ctypes.data, stretch, scale, inv_two_sigma_sq,
+                bitgen, x.ctypes.data, n, st.ctypes.data, stretch, scale, inv_two_sigma_sq, translate,
                 s_out.ctypes.data, t_out.ctypes.data,
             )
         if accepted < 0:

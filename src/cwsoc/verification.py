@@ -660,7 +660,7 @@ def psi_quadratic_lower_bound_margin() -> float:
 # ---------------------------------------------------------------------------
 
 def ks_statistic(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """One-sample KS distance between a sorted sample and a reference CDF.
+    """One-sample KS distance between a sorted finite sample and a reference CDF.
 
     ``cdf`` is called once, on the whole sorted sample as a float array, and
     must return the CDF at every sample in an array of the same shape (as
@@ -669,6 +669,8 @@ def ks_statistic(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarra
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("samples must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("samples must be finite")
     if np.any(np.diff(arr) < 0.0):
         raise DomainError("samples must be sorted in nondecreasing order")
     n = arr.size

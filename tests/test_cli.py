@@ -83,6 +83,7 @@ class TestSimulate:
         )
         assert manifest["sampler"] == {
             "burn_in_sweeps": 5, "chains": 3, "proposal_scale": 1.7, "seed": 314, "sweeps": 37, "thin_sweeps": 3,
+            "translate_scale": 0.0,
         }
         assert manifest["params"] == {"n": 10, "sigma": 2.0}
 
@@ -325,6 +326,7 @@ class TestConvergence:
         )
         assert manifest["sampler"] == {
             "burn_in_sweeps": 20, "proposal_scale": 2.38, "seed": 0, "sweeps": 220, "thin_sweeps": 2,
+            "translate_scale": 1.5,
         }
         assert manifest["params"] == {"n_list": [8, 16], "sigma": 1.0}
 

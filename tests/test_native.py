@@ -117,7 +117,7 @@ class TestCache:
             st, s_out, t_out = np.array([chain.s, chain.t]), np.empty(30), np.empty(30)
             accepted = lib.cw_sweeps(
                 chain.rng.bit_generator.ctypes.bit_generator.value, chain.x.ctypes.data, 5, st.ctypes.data,
-                30, cfg.proposal_scale, 0.5, s_out.ctypes.data, t_out.ctypes.data,
+                30, cfg.proposal_scale, 0.5, 0.0, s_out.ctypes.data, t_out.ctypes.data,
             )
             assert 0 < accepted < 150
             assert (s_out[-1], t_out[-1]) == (expected.s, expected.t) == tuple(st)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaincinv
+from scipy.special import gammainc, gammaincinv
 
 from cwsoc.model import DomainError, ModelParams, sum_stats
 from cwsoc.samplers import (
@@ -22,7 +22,7 @@ from cwsoc.samplers import (
     run,
     sample_nu_star,
 )
-from cwsoc.verification import density_closed_form
+from cwsoc.verification import density_closed_form, ks_statistic
 
 
 def hand_chain(x, sigma, proposal_scale):
@@ -37,12 +37,14 @@ def hand_chain(x, sigma, proposal_scale):
 class TestSamplerConfig:
     def test_numpy_scalars_accepted_and_stored_as_python_types(self):
         cfg = SamplerConfig(proposal_scale=np.float32(1.5), burn_in_sweeps=np.int64(3),
-                            thin_sweeps=np.int32(2), seed=np.int64(7))
-        assert (cfg.proposal_scale, cfg.burn_in_sweeps, cfg.thin_sweeps, cfg.seed) == (1.5, 3, 2, 7)
-        assert [type(v) for v in (cfg.proposal_scale, cfg.burn_in_sweeps, cfg.thin_sweeps, cfg.seed)] == [
-            float, int, int, int,
-        ]
+                            thin_sweeps=np.int32(2), seed=np.int64(7), translate_scale=np.float64(0.75))
+        values = (cfg.proposal_scale, cfg.burn_in_sweeps, cfg.thin_sweeps, cfg.seed, cfg.translate_scale)
+        assert values == (1.5, 3, 2, 7, 0.75)
+        assert [type(v) for v in values] == [float, int, int, int, float]
         assert SamplerConfig(proposal_scale=2).proposal_scale == 2.0
+        assert [type(SamplerConfig(translate_scale=v).translate_scale) for v in (0, np.float32(0.0), 1)] == [
+            float, float, float,
+        ]
 
     @pytest.mark.parametrize("field, bad", [
         ("thin_sweeps", 2.5), ("thin_sweeps", 0), ("thin_sweeps", True),
@@ -50,6 +52,9 @@ class TestSamplerConfig:
         ("seed", 3.7), ("seed", True), ("seed", -1), ("seed", 2**64), ("seed", "3"),
         ("proposal_scale", True), ("proposal_scale", 0.0), ("proposal_scale", math.inf),
         ("proposal_scale", math.nan), ("proposal_scale", "2.38"),
+        ("translate_scale", True), ("translate_scale", False), ("translate_scale", math.nan),
+        ("translate_scale", math.inf), ("translate_scale", -math.inf), ("translate_scale", -0.5),
+        ("translate_scale", "1.5"),
     ])
     def test_invalid_field_rejected(self, field, bad):
         with pytest.raises(DomainError, match=field):
@@ -198,21 +203,12 @@ class TestRun:
         assert 0.85 * sigma**2 < mean_t < 1.15 * sigma**2
 
 
-def oracle_step(chain, k, z, u):
-    """Reference single-site Metropolis step in plain floats with math.exp.
-
-    Proposes spin k moved by proposal_scale * sigma * z and accepts it when the
-    log ratio delta is nonnegative or u < exp(delta); a proposal whose t would
-    not be positive is rejected outright.  Returns True iff it was accepted.
-    """
-    scale = chain.cfg.proposal_scale * chain.params.sigma
+def oracle_accepts(chain, s_new, t_new, u):
+    """Whether the Metropolis rule accepts the chain's move to (s_new, t_new):
+    the log ratio delta is nonnegative or u < exp(delta), in plain floats with
+    math.exp; a proposal whose t would not be positive is rejected outright."""
     inv_two_sigma_sq = 1.0 / (2.0 * chain.params.sigma**2)
-    x, s, t = chain.x, chain.s, chain.t
-    chain.proposed += 1
-    old = float(x[k])
-    new = old + scale * z
-    s_new = s - old + new
-    t_new = t - old * old + new * new
+    s, t = chain.s, chain.t
     if not t_new > 0.0:
         return False
     delta = (
@@ -221,7 +217,21 @@ def oracle_step(chain, k, z, u):
         - s * s / (2.0 * t)
         + t * inv_two_sigma_sq
     )
-    if delta >= 0.0 or u < math.exp(delta):
+    return delta >= 0.0 or u < math.exp(delta)
+
+
+def oracle_step(chain, k, z, u):
+    """Reference single-site Metropolis step: proposes spin k moved by
+    proposal_scale * sigma * z and accepts it by oracle_accepts.  Returns True
+    iff it was accepted."""
+    scale = chain.cfg.proposal_scale * chain.params.sigma
+    x, s, t = chain.x, chain.s, chain.t
+    chain.proposed += 1
+    old = float(x[k])
+    new = old + scale * z
+    s_new = s - old + new
+    t_new = t - old * old + new * new
+    if oracle_accepts(chain, s_new, t_new, u):
         x[k] = new
         chain.s, chain.t = s_new, t_new
         chain.accepted += 1
@@ -229,12 +239,31 @@ def oracle_step(chain, k, z, u):
     return False
 
 
-def oracle_run(chain, sweeps):
+def oracle_translate(chain, z, u):
+    """Reference translation move: proposes every spin moved by delta = d * z,
+    d = translate_scale * sigma * n^(-1/4), with (s, t) updated in O(1), and
+    accepts it by oracle_accepts.  Counts nothing; returns True iff it was
+    accepted."""
+    n = chain.params.n
+    delta = chain.cfg.translate_scale * chain.params.sigma * n**-0.25 * z
+    s, t = chain.s, chain.t
+    s_new = s + n * delta
+    t_new = t + 2.0 * delta * s + n * delta * delta
+    if oracle_accepts(chain, s_new, t_new, u):
+        chain.x += delta
+        chain.s, chain.t = s_new, t_new
+        return True
+    return False
+
+
+def oracle_run(chain, sweeps, translations=None):
     """Reference implementation of run() in pure Python.
 
     Draws per sweep with the Generator API (n sites, n proposal normals, n
-    acceptance uniforms), steps with oracle_step, resyncs the cached (s, t) at
-    multiples of RESYNC_EVERY_SWEEPS and records by the documented
+    acceptance uniforms), steps with oracle_step, then, when translate_scale
+    is positive, draws standard_normal(1) and random(1) for oracle_translate
+    and appends its outcome to `translations` if given.  Resyncs the cached
+    (s, t) at multiples of RESYNC_EVERY_SWEEPS and records by the documented
     burn-in/thinning schedule.
     """
     cfg, rng = chain.cfg, chain.rng
@@ -246,6 +275,12 @@ def oracle_run(chain, sweeps):
         uniforms = rng.random(n).tolist()
         for k, z, u in zip(sites, normals, uniforms):
             oracle_step(chain, k, z, u)
+        if cfg.translate_scale > 0.0:
+            z = rng.standard_normal(1).tolist()[0]
+            u = rng.random(1).tolist()[0]
+            accepted = oracle_translate(chain, z, u)
+            if translations is not None:
+                translations.append(accepted)
         chain.sweeps_done += 1
         if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
             chain.resync_stats()
@@ -282,6 +317,31 @@ class TestRunMatchesPythonOracle:
     def test_bit_identical_across_resync_boundary(self):
         sweeps = RESYNC_EVERY_SWEEPS + 3
         cfg = SamplerConfig(burn_in_sweeps=RESYNC_EVERY_SWEEPS - 5, thin_sweeps=2, seed=31)
+        params = ModelParams(3, 1.0)
+        compiled, reference = init_chain(params, cfg), init_chain(params, cfg)
+        records = run(compiled, sweeps)
+        assert repr(records) == repr(oracle_run(reference, sweeps))
+        assert [r.sweep for r in records] == list(range(RESYNC_EVERY_SWEEPS - 3, sweeps + 1, 2))
+        assert_same_chain(compiled, reference)
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_bit_identical_with_translation(self, n, sigma):
+        cfg = SamplerConfig(proposal_scale=1.7, burn_in_sweeps=7, thin_sweeps=3, seed=2718, translate_scale=1.5)
+        params = ModelParams(n, sigma)
+        compiled, reference = init_chain(params, cfg, chain_id=1), init_chain(params, cfg, chain_id=1)
+        translations = []
+        records = run(compiled, 40)
+        assert repr(records) == repr(oracle_run(reference, 40, translations))
+        assert len(records) == 11
+        assert_same_chain(compiled, reference)
+        # both outcomes of the move occur, and neither is counted as a step
+        assert set(translations) == {True, False}
+        assert compiled.proposed == 40 * n
+
+    def test_bit_identical_with_translation_across_resync_boundary(self):
+        sweeps = RESYNC_EVERY_SWEEPS + 3
+        cfg = SamplerConfig(burn_in_sweeps=RESYNC_EVERY_SWEEPS - 5, thin_sweeps=2, seed=31, translate_scale=1.5)
         params = ModelParams(3, 1.0)
         compiled, reference = init_chain(params, cfg), init_chain(params, cfg)
         records = run(compiled, sweeps)
@@ -346,9 +406,10 @@ class TestChainInvariants:
         run(chain, 2000 if n == 16 else 200)
         assert 0.1 < acceptance_rate(chain) < 0.9
 
-    def test_sigma_scaling_metamorphic(self):
+    @pytest.mark.parametrize("translate_scale", [0.0, 1.5])
+    def test_sigma_scaling_metamorphic(self, translate_scale):
         # same seed: the sigma=2 chain is exactly 2x the sigma=1 chain, every sweep
-        cfg = SamplerConfig(seed=99, burn_in_sweeps=0, thin_sweeps=1)
+        cfg = SamplerConfig(seed=99, burn_in_sweeps=0, thin_sweeps=1, translate_scale=translate_scale)
         unit = init_chain(ModelParams(10, 1.0), cfg)
         doubled = init_chain(ModelParams(10, 2.0), cfg)
         worst = 0.0
@@ -360,6 +421,40 @@ class TestChainInvariants:
         assert worst <= 1e-12
         assert doubled.s == pytest.approx(2.0 * unit.s, rel=1e-12, abs=1e-300)
         assert doubled.t == pytest.approx(4.0 * unit.t, rel=1e-12)
+
+
+def angular_cdf(c, n):
+    """CDF at c of C_n = S/sqrt(nT), whose density on (-1, 1) is proportional
+    to (1 - c^2)^((n-3)/2) e^(nc^2/2): the trapezoid rule on 400,001 nodes,
+    interpolated linearly (its error is far below the KS noise)."""
+    grid = np.linspace(-1.0, 1.0, 400_001)
+    log_g = 0.5 * (n - 3) * np.log1p(-grid[1:-1] ** 2) + 0.5 * n * grid[1:-1] ** 2
+    g = np.concatenate([[0.0], np.exp(log_g - log_g.max()), [0.0]])
+    cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]))])
+    return np.interp(c, grid, cumulative / cumulative[-1])
+
+
+class TestStationarityWithTranslation:
+    # The tilt s^2/(2t) depends only on the direction of x, so under the tilted
+    # law T/sigma^2 ~ chi^2_n exactly, independent of C_n = S/sqrt(nT), which has
+    # the density of angular_cdf: two laws with no finite-n bias.
+    RECORDS, THIN, BURN = 8000, 5, 1000
+    # a conservative ESS: one effective sample per 10 sweeps, about twice the
+    # integrated autocorrelation time of s with the move, at false-alarm 1e-3
+    TAU_BOUND_SWEEPS = 10
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_t_and_angle_follow_their_exact_laws(self, n, sigma):
+        cfg = SamplerConfig(seed=2024, burn_in_sweeps=self.BURN, thin_sweeps=self.THIN, translate_scale=1.5)
+        records = run(init_chain(ModelParams(n, sigma), cfg), self.BURN + self.THIN * self.RECORDS)
+        s = np.array([r.s for r in records])
+        t = np.array([r.t for r in records])
+        ess = self.THIN * self.RECORDS / self.TAU_BOUND_SWEEPS
+        bound = math.sqrt(math.log(2.0 / 1e-3) / 2.0) / math.sqrt(ess)
+        ks_t = ks_statistic(np.sort(t / sigma**2), lambda q: gammainc(n / 2.0, q / 2.0))
+        ks_c = ks_statistic(np.sort(s / np.sqrt(n * t)), lambda c: angular_cdf(c, n))
+        assert ks_t <= bound and ks_c <= bound, (ks_t, ks_c, bound)
 
 
 class TestNuStarSampler:

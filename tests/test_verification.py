@@ -811,6 +811,13 @@ class TestKsStatistic:
         with pytest.raises(DomainError):
             ks_statistic([-1.0, 0.0, 1.0], lambda xs: 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # NaN compares False both ways, so the sort check alone let it through
+        for samples in ([0.1, bad, 0.3], [bad], [0.1, 0.3, bad]):
+            with pytest.raises(DomainError, match="finite"):
+                ks_statistic(samples, QuarticLaw(1.0).cdf)
+
 
 def _invert_monotone(f, y, lo=-50.0, hi=50.0):
     from scipy.optimize import brentq
