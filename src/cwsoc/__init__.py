@@ -1,7 +1,7 @@
 """Sampling and numerical verification toolkit for a self-organized-critical
 Gaussian mean-field spin model.
 
-Subpackages by concern: :mod:`cwsoc.model` (exact densities and energies),
+Subpackages by concern: :mod:`cwsoc.model` (statistics and exact density),
 :mod:`cwsoc.limit_law` (the quartic limit distribution), :mod:`cwsoc.samplers`
 (Metropolis and importance sampling), :mod:`cwsoc.verification` (numerical
 checks) and :mod:`cwsoc.cli` (command-line front end).

@@ -299,9 +299,12 @@ def _read_samples_column(path: Path, column: str) -> np.ndarray:
             line = line.strip()
             if line:
                 try:
-                    values.append(float(line.split(",")[idx]))
+                    value = float(line.split(",")[idx])
                 except (IndexError, ValueError) as exc:
                     raise UsageError(f"{path}:{lineno}: no {column} value in row {line!r}") from exc
+                if not math.isfinite(value):
+                    raise UsageError(f"{path}:{lineno}: non-finite {column} value in row {line!r}")
+                values.append(value)
     return np.asarray(values)
 
 

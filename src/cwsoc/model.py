@@ -1,11 +1,15 @@
-"""Core model quantities: energies, sufficient statistics and exact joint densities.
+"""Core model quantities: parameters, sufficient statistics, the exact joint
+density of the statistics and the saddle-point exponent psi.
 
 The model lives on configurations x = (x_1, ..., x_n) of real-valued spins.
 Everything of interest factors through the sufficient statistics
-s = sum(x_i) and t = sum(x_i^2), and every density in this module is exposed
-unnormalized and in log space: the exponents grow like n*log(n), so nothing
-here ever exponentiates a large quantity.  Normalization constants are
-estimated in :mod:`cwsoc.verification`.
+s = sum(x_i) and t = sum(x_i^2) (``sum_stats``, a compensated sum in a fixed
+order).  ``log_joint_density_unnormalized`` is the closed-form density of
+(s, t), unnormalized and in log space: the exponents grow like n*log(n), so
+nothing here ever exponentiates a large quantity.  ``psi`` is the exponent of
+the Laplace analysis that :mod:`cwsoc.verification` uses, where the
+normalization constants are estimated too.  The module also holds the
+argument checks and the error types the whole package raises.
 """
 
 from __future__ import annotations
@@ -29,14 +33,9 @@ __all__ = [
     "nonnegative_real",
     "compensated_sum",
     "sum_stats",
-    "interaction_energy",
-    "log_tilt_weight",
-    "in_support",
     "log_joint_density_unnormalized",
     "psi",
     "psi_unchecked",
-    "phi_weight",
-    "log_rescaled_density_unnormalized",
 ]
 
 # The closed-form joint density of (s, t) only exists for n >= 5.
@@ -48,7 +47,7 @@ class DomainError(ValueError):
 
 
 class SupportError(DomainError):
-    """A statistics pair lies outside the open support {s^2 < n*t}."""
+    """A statistics pair lies outside the open support {t - s^2/n > 0}."""
 
 
 class UnsupportedOrderError(DomainError):
@@ -134,54 +133,22 @@ def sum_stats(config: Sequence[float] | np.ndarray) -> SumStats:
     return SumStats(s, t)
 
 
-def log_tilt_weight(stats: SumStats) -> float:
-    """Log of the tilt e^{s^2/(2t)} that turns the product measure into the model.
-
-    Always in [0, n/2] when (s, t) comes from an actual n-spin configuration
-    (Cauchy-Schwarz).
-    """
-    s, t = stats
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got t={t!r}")
-    return s * s / (2.0 * t)
-
-
-def interaction_energy(config: Sequence[float] | np.ndarray) -> float:
-    """(sum x_i)^2 / (2 sum x_i^2) for a configuration with at least one nonzero spin.
-
-    The configuration is first scaled by the power of two that puts max|x_i|
-    in [0.5, 1).  The ratio is scale-invariant and such a scaling is exact, so
-    the result keeps its bits unless squares would leave the normal range,
-    where t = sum x_i^2 would otherwise lose its precision to subnormals.
-    """
-    x = np.asarray(config, dtype=float)
-    _, exponent = np.frexp(np.max(np.abs(x), initial=0.0))
-    stats = sum_stats(np.ldexp(x, -exponent))
-    if not stats.t > 0.0:
-        raise DomainError("interaction energy is undefined for the all-zero configuration")
-    return log_tilt_weight(stats)
-
-
-def in_support(stats: SumStats, n: int) -> bool:
-    """True iff (s, t) lies strictly inside the support {t > 0, s^2 < n t}."""
-    s, t = stats
-    return t > 0.0 and s * s < n * t
-
-
 def log_joint_density_unnormalized(stats: SumStats, params: ModelParams) -> float:
     """Unnormalized log density of (s, t) under the tilted model, n >= 5.
 
-    Returns s^2/(2t) - t/(2 sigma^2) + ((n-3)/2) * ln(t - s^2/n).  The support
-    boundary s^2 = n t is excluded: evaluating there is an error, not -inf.
+    Returns s^2/(2t) - t/(2 sigma^2) + ((n-3)/2) * ln(gap), gap = t - s^2/n.
+    The support is t > 0 and gap > 0, tested on the computed gap itself, so
+    a pair whose gap rounds to zero or below is a SupportError, like the
+    boundary s^2 = n t: evaluating there is an error, not -inf.
     """
     if params.n < MIN_DENSITY_N:
         raise UnsupportedOrderError(
             f"closed-form joint density requires n >= {MIN_DENSITY_N}, got n={params.n}"
         )
     s, t = stats
-    if not in_support(stats, params.n):
-        raise SupportError(f"(s, t)=({s!r}, {t!r}) outside open support s^2 < {params.n}*t")
     gap = t - s * s / params.n
+    if not (t > 0.0 and gap > 0.0):
+        raise SupportError(f"(s, t)=({s!r}, {t!r}) outside open support t - s^2/{params.n} > 0")
     return (
         s * s / (2.0 * t)
         - t / (2.0 * params.sigma**2)
@@ -206,30 +173,3 @@ def psi(x: float, y: float) -> float:
     if not (x >= 0.0 and y > x):
         raise DomainError(f"point ({x!r}, {y!r}) outside the wedge y > x >= 0")
     return float(psi_unchecked(x, y))
-
-
-def phi_weight(x: float, y: float) -> float:
-    """Jacobian-type weight (y - x)^{-3/2} on the wedge y > x >= 0."""
-    if not (x >= 0.0 and y > x):
-        raise DomainError(f"point ({x!r}, {y!r}) outside the wedge y > x >= 0")
-    return (y - x) ** -1.5
-
-
-def log_rescaled_density_unnormalized(x: float, y: float, params: ModelParams) -> float:
-    """Unnormalized log density of (s/n^{3/4}, t/n), the statistics scaled by
-    the critical exponents 3/4 and 1; sigma = 1 only.
-
-    Equals -n*psi(a, y) - (3/2)*ln(y - a) at the mapped point (a, y) with
-    a = x^2/n^{1/2}.  Differs from log_joint_density_unnormalized at
-    (s, t) = (x n^{3/4}, y n) by the additive constant ((n-3)/2) ln(n), which
-    makes the two routes mutually testable.
-    """
-    if params.sigma != 1.0:
-        raise DomainError("rescaled density is defined for sigma = 1; rescale the caller's units first")
-    n = params.n
-    a = x * x / n**0.5
-    if not y > a:
-        raise SupportError(
-            f"mapped point ({a!r}, {y!r}) outside the wedge y > x >= 0"
-        )
-    return -n * psi(a, y) - 1.5 * math.log(y - a)

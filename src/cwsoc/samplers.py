@@ -43,7 +43,6 @@ __all__ = [
     "chain_rng",
     "init_chain",
     "run",
-    "acceptance_rate",
     "sample_nu_star",
     "importance_estimate",
     "batch_means_stderr",
@@ -237,12 +236,6 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     return records
 
 
-def acceptance_rate(chain: ChainState) -> float:
-    if chain.proposed == 0:
-        return float("nan")
-    return chain.accepted / chain.proposed
-
-
 def sample_nu_star(params: ModelParams, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     """size exact draws of (s, t) from the untilted law, s = sum Z_i and
     t = sum Z_i^2 over n iid N(0, sigma^2) spins; returns the arrays (s, t).
@@ -279,8 +272,11 @@ def importance_estimate(
     the number of spins; n <= 200 is the practical range.  Results with ESS
     below 50 are returned flagged unreliable (with a warning), never silently.
     """
-    if draws < MIN_IMPORTANCE_DRAWS:
-        raise DomainError(f"importance estimates need at least {MIN_IMPORTANCE_DRAWS} draws")
+    if not (is_integer(draws) and draws >= MIN_IMPORTANCE_DRAWS):
+        raise DomainError(
+            f"importance estimates need an integer number of draws, at least {MIN_IMPORTANCE_DRAWS}, got {draws!r}"
+        )
+    draws = int(draws)
     log_w = np.empty(draws)
     f_vals = np.empty(draws)
     done = 0
@@ -310,6 +306,8 @@ def importance_estimate(
 
 def batch_means_stderr(values: Sequence[float], n_batches: int = 32) -> float:
     """Batch-means standard error of the mean of a correlated sequence."""
+    if not (is_integer(n_batches) and n_batches >= 2):
+        raise DomainError(f"n_batches must be an integer of at least 2, got {n_batches!r}")
     v = np.asarray(values, dtype=float)
     if v.size < 2 * n_batches:
         raise DomainError(f"need at least {2 * n_batches} values for {n_batches} batches")

@@ -30,7 +30,14 @@ Design notes
   scipy.special.logsumexp, which the tests keep as the oracle.
 * The principal complex logarithm is implemented with the half-angle
   arctangent formula and that form is the source of truth; the test suite
-  cross-checks it against a two-argument arctangent.
+  cross-checks it against a two-argument arctangent.  It exists twice:
+  principal_log in Python (math.hypot for the modulus), which the
+  complex/log_* rows, complex_pow and complex_gaussian_integral use, and the
+  Log of z = 1 - 2iv in cw_phi_of (``_kernel.c``), which takes the modulus
+  from the C library's hypot and is what char_fn and the inversion evaluate.
+  The two hypots can differ in the last bit, so the complex/log_* rows do
+  not reach the compiled Log; the complex/char_fn_* rows and the test of
+  char_fn(0, v, 2) * (1 - 2iv) = 1 do.
 """
 
 from __future__ import annotations

@@ -389,6 +389,16 @@ class TestPlotdata:
         assert f"{samples}:3:" in capsys.readouterr().err
         assert not (out / "histogram.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_s_scaled_exits_2_naming_file_and_line(self, tmp_path, capsys, value):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"chain,sweep,s,t,s_scaled,t_scaled\n0,1,1.0,2.0,0.3,0.5\n0,2,1.0,2.0,{value},0.5\n")
+        out = tmp_path / "plot"
+        assert main(["plotdata", "--input", str(samples), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{samples}:3:" in err and "non-finite" in err
+        assert not (out / "histogram.csv").exists()
+
 
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, tmp_path):

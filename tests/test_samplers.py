@@ -14,7 +14,6 @@ from cwsoc.samplers import (
     ImportanceResult,
     SampleRecord,
     SamplerConfig,
-    acceptance_rate,
     batch_means_stderr,
     chain_rng,
     importance_estimate,
@@ -404,7 +403,7 @@ class TestChainInvariants:
     def test_acceptance_rate_sane_at_unit_scale(self, n):
         chain = init_chain(ModelParams(n, 1.0), SamplerConfig(proposal_scale=1.0, seed=21, burn_in_sweeps=0))
         run(chain, 2000 if n == 16 else 200)
-        assert 0.1 < acceptance_rate(chain) < 0.9
+        assert 0.1 < chain.accepted / chain.proposed < 0.9
 
     @pytest.mark.parametrize("translate_scale", [0.0, 1.5])
     def test_sigma_scaling_metamorphic(self, translate_scale):
@@ -520,6 +519,17 @@ class TestImportanceEstimate:
         with pytest.raises(DomainError):
             importance_estimate(lambda s, t: np.ones_like(s), ModelParams(10, 1.0), 99, chain_rng(1, 0))
 
+    @pytest.mark.parametrize("draws", [150.5, 200.0, True, "200", None])
+    def test_non_integer_draws_rejected(self, draws):
+        with pytest.raises(DomainError, match="draws"):
+            importance_estimate(lambda s, t: np.ones_like(s), ModelParams(10, 1.0), draws, chain_rng(1, 0))
+
+    def test_numpy_integer_draws_stored_as_python_int(self):
+        f = lambda s, t: s * s / t  # noqa: E731
+        res = importance_estimate(f, ModelParams(10, 1.0), np.int64(200), chain_rng(3, 0))
+        assert type(res.draws) is int and res.draws == 200
+        assert res == importance_estimate(f, ModelParams(10, 1.0), 200, chain_rng(3, 0))
+
     def test_low_ess_flagged_not_silent(self):
         with pytest.warns(RuntimeWarning, match="ESS"):
             res = importance_estimate(
@@ -583,3 +593,8 @@ class TestBatchMeans:
     def test_too_short_sequence_rejected(self):
         with pytest.raises(DomainError):
             batch_means_stderr(np.ones(10), 32)
+
+    @pytest.mark.parametrize("n_batches", [0, 1, -3, 2.5, 4.0, True, "4"])
+    def test_invalid_batch_count_rejected(self, n_batches):
+        with pytest.raises(DomainError, match="n_batches"):
+            batch_means_stderr(np.arange(100.0), n_batches)
