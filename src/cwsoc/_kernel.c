@@ -32,7 +32,7 @@
  *
  * Phi_n(u, v) = exp(-(n/2) (u^2 / (1 - 2iv) + Log(1 - 2iv))) is computed
  * with the operations of the numpy expression the tests keep as its oracle,
- * in its order, except that |1 - 2iv| comes from the C library's hypot.
+ * in its order.
  * cw_inner_cos evaluates Phi only at a few anchor nodes and fills in the
  * other nodes by the Gaussian recurrence described at its definition.  A
  * cw_outer holds one inversion's x and n and a cache of h(v), so that the
@@ -193,15 +193,15 @@ typedef struct {
     cw_complex q, p;
 } cw_phi;
 
-/* Log z is the half-angle form of verification.principal_log, with the C
- * library's hypot for |z|; the quotient is CPython's complex division. */
+/* Log z is the C library's clog, which numpy's complex log and so
+ * verification.principal_log call; the quotient is CPython's complex division. */
 static cw_phi cw_phi_of(double v, int64_t n)
 {
     double y = -2.0 * v;
     double half_n = -0.5 * (double)n;
-    double log_re = 0.5 * log(1.0 + y * y);
-    double log_im = 2.0 * atan(y / (1.0 + hypot(1.0, y)));
-    return (cw_phi){cw_div((cw_complex){half_n, 0.0}, (cw_complex){1.0, y}), {half_n * log_re, half_n * log_im}};
+    double complex log_z = clog(CMPLX(1.0, y));
+    cw_complex p = {half_n * creal(log_z), half_n * cimag(log_z)};
+    return (cw_phi){cw_div((cw_complex){half_n, 0.0}, (cw_complex){1.0, y}), p};
 }
 
 /* (q u) u + p, part by part as numpy multiplies a complex by a real, then the

@@ -205,6 +205,11 @@ def cmd_limit(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     sigma = _resolve(args, config, "sigma", 1.0, float)
     law = QuarticLaw(sigma)
+    for flag in ("density", "cdf"):
+        # +-inf are valid points (density 0, CDF 0 or 1); NaN is none
+        point = getattr(args, flag)
+        if point is not None and math.isnan(point):
+            raise UsageError(f"--{flag} must be a number, got nan")
     lines: list[str]
     if args.density is not None:
         lines = [format(law.density(args.density), ".17g")]

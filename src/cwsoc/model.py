@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -85,6 +86,9 @@ class ModelParams:
 
     n may be any integral type and sigma any real type except bool (numpy
     scalars included); they are stored as a Python int and a Python float.
+    sigma^2 must be a finite normal double, so sigma lies between about
+    1.49e-154 and 1.34e154: beyond, sigma^2 overflows or the spins' squares
+    underflow.
     """
 
     n: int
@@ -94,7 +98,10 @@ class ModelParams:
         if not (is_integer(self.n) and self.n >= 1):
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "sigma", positive_real(self.sigma, "sigma"))
+        sigma = positive_real(self.sigma, "sigma")
+        if not sys.float_info.min <= sigma * sigma < math.inf:
+            raise DomainError(f"sigma^2 must be a finite normal double, got sigma={sigma!r}")
+        object.__setattr__(self, "sigma", sigma)
 
 
 class SumStats(NamedTuple):

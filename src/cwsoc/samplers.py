@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._native import kernel
 from .model import DomainError, ModelParams, is_integer, nonnegative_real, positive_real, sum_stats
 
 __all__ = [
@@ -143,10 +144,10 @@ def init_chain(params: ModelParams, cfg: SamplerConfig, chain_id: int = 0) -> Ch
     """
     rng = chain_rng(cfg.seed, chain_id)
     x = params.sigma * rng.standard_normal(params.n)
-    s, t = sum_stats(x)
-    while t == 0.0:  # probability-zero, but the energy is undefined there
-        x = params.sigma * rng.standard_normal(params.n)
+    with np.errstate(over="ignore"):  # an overflowing t is rejected below
         s, t = sum_stats(x)
+    if not 0.0 < t < math.inf:  # the energy is undefined there
+        raise DomainError(f"the initial configuration at sigma={params.sigma!r} has t = {t!r}, not in (0, inf)")
     return ChainState(x=x, s=s, t=t, params=params, cfg=cfg, rng=rng, chain_id=chain_id)
 
 
@@ -188,9 +189,6 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     records: list[SampleRecord] = []
     if sweeps == 0:
         return records
-    # imported here so that importing this module neither loads nor builds the kernel
-    from ._native import kernel
-
     lib = kernel()
     bit_generator = chain.rng.bit_generator
     bitgen = bit_generator.ctypes.bit_generator.value

@@ -28,16 +28,6 @@ Design notes
   its nodes, so that the laplace suite never loads the kernel.  The
   normalization grids sum their exponentials in place, with the bits of
   scipy.special.logsumexp, which the tests keep as the oracle.
-* The principal complex logarithm is implemented with the half-angle
-  arctangent formula and that form is the source of truth; the test suite
-  cross-checks it against a two-argument arctangent.  It exists twice:
-  principal_log in Python (math.hypot for the modulus), which the
-  complex/log_* rows, complex_pow and complex_gaussian_integral use, and the
-  Log of z = 1 - 2iv in cw_phi_of (``_kernel.c``), which takes the modulus
-  from the C library's hypot and is what char_fn and the inversion evaluate.
-  The two hypots can differ in the last bit, so the complex/log_* rows do
-  not reach the compiled Log; the complex/char_fn_* rows and the test of
-  char_fn(0, v, 2) * (1 - 2iv) = 1 do.
 """
 
 from __future__ import annotations
@@ -54,6 +44,7 @@ from scipy import LowLevelCallable
 from scipy.integrate import dblquad, quad
 from scipy.special import gammaln, roots_legendre
 
+from ._native import kernel
 from .limit_law import normalizer
 from .model import DomainError, UnsupportedOrderError, MIN_DENSITY_N, is_integer, psi, psi_unchecked
 
@@ -96,18 +87,14 @@ _TWO_PI = 2.0 * math.pi
 def principal_log(z: complex) -> complex:
     """Principal complex logarithm on C minus the ray (-inf, 0].
 
-    Uses the half-angle form (1/2) ln(x^2+y^2) + 2i arctan(y / (x + |z|)).
-    On the left half-plane the quotient is evaluated as (|z| - x) / y, which
-    equals y / (x + |z|) exactly (both are tan of the half argument) but does
-    not cancel catastrophically next to the cut.
+    numpy's complex log, which is the C library's clog, the Log that char_fn
+    and the inversion evaluate in ``_kernel.c``; not cmath.log, which rounds
+    apart from it.
     """
     z = complex(z)
-    x, y = z.real, z.imag
-    if y == 0.0 and x <= 0.0:
+    if z.imag == 0.0 and z.real <= 0.0:
         raise DomainError(f"principal log undefined on the branch cut, got {z!r}")
-    modulus = math.hypot(x, y)
-    half_tan = y / (x + modulus) if x >= 0.0 else (modulus - x) / y
-    return complex(0.5 * math.log(x * x + y * y), 2.0 * math.atan(half_tan))
+    return complex(np.log(z))
 
 
 def complex_pow(z: complex, a: complex) -> complex:
@@ -146,11 +133,8 @@ def char_fn(u, v: float, n: int):
     exp(-n u^2 / (2(1+4v^2))) * (1+4v^2)^{-n/4}.  Elementwise in u: a complex
     array for an array of u, a Python complex for a scalar, with the same bits.
     Computed by cw_char_fn of the compiled kernel (``_kernel.c``), the code the
-    inversion's inner rule evaluates; Log is principal_log's half-angle form.
+    inversion's inner rule evaluates.
     """
-    # imported here so that importing this module neither loads nor builds the kernel
-    from ._native import kernel
-
     n = _order(n, "char_fn", minimum=1)
     u = np.asarray(u, dtype=float, order="C")
     phi = np.empty(u.shape, dtype=complex)
@@ -190,8 +174,6 @@ def _density_data(n) -> ctypes.Array:
 def log_density_closed_form(x: float, y: float, n: int) -> float:
     """Log of the closed-form density; -inf outside the open support x^2 < n y.
     Computed by cw_log_density of the compiled kernel (``_kernel.c``)."""
-    from ._native import kernel
-
     data = _density_data(n)
     return kernel().cw_log_density(2, (ctypes.c_double * 2)(y, x), data)
 
@@ -200,8 +182,6 @@ def density_closed_form(x: float, y: float, n: int) -> float:
     """Density of the n-fold untilted (s, t) law at sigma = 1; zero outside support.
     Computed by cw_density of the compiled kernel, the exponential of
     log_density_closed_form's value."""
-    from ._native import kernel
-
     data = _density_data(n)
     return kernel().cw_density(2, (ctypes.c_double * 2)(y, x), data)
 
@@ -285,8 +265,6 @@ def _inner_cos_integral(x: float, v: float, n: int) -> complex:
     every anchor underflows the result is 0j, as the node-by-node rule gives.
     Negating v conjugates every anchor and so, bit for bit, the result.
     """
-    from ._native import kernel
-
     out = (ctypes.c_double * 2)()
     if not kernel().cw_inner_cos(ctypes.byref(_inner_rule()), float(x), float(v), int(n), out):
         raise DomainError(f"the inner rule at (x={x!r}, v={v!r}, n={n}) needs 2^62 panels or more")
@@ -302,8 +280,6 @@ class _OuterIntegrand:
     """
 
     def __init__(self, x: float, n: int):
-        from ._native import kernel
-
         self._lib = kernel()
         self.data = ctypes.c_void_p(self._lib.cw_outer_new(ctypes.byref(_inner_rule()), float(x), int(n)))
         if not self.data:
@@ -354,16 +330,18 @@ def invert_char_fn(x: float, y: float, n: int, tol: float) -> InversionResult:
     The characteristic function is integrable only for n >= 5.  The outer
     (oscillatory) axis is handled as an infinite Fourier transform with net
     frequency |y - x^2/n| after factoring the known linear phase x^2 v / n out
-    of the inner integral.  Phi_n(u, -v) = conj Phi_n(u, v), so the v < 0 half
-    of the outer integrand is the conjugate of the v > 0 half: only v >= 0 is
-    integrated and the imaginary parts cancel exactly; the report's
+    of the inner integral; at frequency 0 (y == x^2/n) QUADPACK's QAWF
+    integrates the cosine pass by QAGI and returns 0 for the sine pass.
+    Phi_n(u, -v) = conj Phi_n(u, v), so the v < 0 half of the outer
+    integrand is the conjugate of the v > 0 half: only v >= 0 is integrated
+    and the imaginary parts cancel exactly; the report's
     density/inversion_conjugate_mirror checks that the inner integral keeps
     this symmetry bit for bit.  The outer integrand is _OuterIntegrand's
     compiled h, so the passes call no Python.  error_bound covers the
     truncation of the inner integral at Q_WIDTHS widths and the error
-    estimates of the two QAWF passes (of the one plain quad pass when
-    y == x^2/n); it leaves out the inner Gauss-Legendre rule, whose error
-    tests/test_verification.py bounds by 1e-10 of int |Phi_n(u, v)| du.
+    estimates of the two QAWF passes; it leaves out the inner Gauss-Legendre
+    rule, whose error tests/test_verification.py bounds by 1e-10 of
+    int |Phi_n(u, v)| du.
     Raises InversionAccuracyError if the error bound exceeds tol, before any
     quadrature when the truncation term alone does.
     """
@@ -390,15 +368,10 @@ def invert_char_fn(x: float, y: float, n: int, tol: float) -> InversionResult:
     # it every bit of the value, depends on epsabs = tol / 12.
     eps_component = tol / 12.0
     with _OuterIntegrand(x, n) as h:
-        if w == 0.0:
-            # No oscillation left once the linear phase is removed; plain quadrature.
-            val, err = quad(h.re, 0.0, np.inf, epsabs=eps_component, limit=300, full_output=1)[:2]
-            total = val + val
-        else:
-            cos_re, e_cos = _qawf(h.re, abs(w), "cos", eps_component)
-            sin_im, e_sin = _qawf(h.im, abs(w), "sin", eps_component)
-            total = (cos_re + cos_re) + math.copysign(1.0, w) * (sin_im + sin_im)
-            err = e_cos + e_sin
+        cos_re, e_cos = _qawf(h.re, abs(w), "cos", eps_component)
+        sin_im, e_sin = _qawf(h.im, abs(w), "sin", eps_component)
+        total = (cos_re + cos_re) + math.copysign(1.0, w) * (sin_im + sin_im)
+        err = e_cos + e_sin
         if h.evaluations() < 0:
             raise InversionAccuracyError(
                 f"inversion at (x={x!r}, y={y!r}, n={n}): the inner rule needs 2^62 panels or more at some v"
@@ -531,14 +504,20 @@ def estimate_C_n(n: int) -> NormalizationEstimate:
     return NormalizationEstimate(n, log_c, log_z, quad_err)
 
 
+def _support_dblquad(integrand, n: int, epsabs: float, epsrel: float) -> float:
+    """Twice dblquad's integral of integrand(y, x) over 0 <= x <= x_cut n^{3/4},
+    x^2/n <= y <= y_hi n: the x >= 0 half of _rescaled_cutoffs's window in
+    raw coordinates, doubled by evenness in x."""
+    x_cut, y_hi = _rescaled_cutoffs(n)
+    val, _ = dblquad(integrand, 0.0, x_cut * n**0.75, lambda x: x * x / n, y_hi * n, epsabs=epsabs, epsrel=epsrel)
+    return 2.0 * val
+
+
 def log_C_n_by_raw_quadrature(n: int) -> float:
     """Second, independent route to log C_n: adaptive 2-d quadrature of the
     unrescaled integrand.  Only sensible for small n, where the integrand fits
     ordinary double precision."""
     n = _order(n, "raw-coordinate quadrature")
-    x_cut, y_hi = _rescaled_cutoffs(n)
-    x_max = x_cut * n**0.75
-    y_max = y_hi * n
 
     def integrand(y: float, x: float) -> float:
         gap = y - x * x / n
@@ -546,16 +525,7 @@ def log_C_n_by_raw_quadrature(n: int) -> float:
             return 0.0
         return math.exp(x * x / (2.0 * y) - 0.5 * y + 0.5 * (n - 3) * math.log(gap))
 
-    val, _ = dblquad(
-        integrand,
-        0.0,
-        x_max,
-        lambda x: x * x / n,
-        y_max,
-        epsabs=1e-12,
-        epsrel=1e-10,
-    )
-    return math.log(2.0 * val)
+    return math.log(_support_dblquad(integrand, n, epsabs=1e-12, epsrel=1e-10))
 
 
 def laplace_ratio(n: int) -> float:
@@ -741,8 +711,6 @@ def _gaussian_integral_by_quadrature(t: float, zeta: complex) -> complex:
     real and imaginary parts.  QUADPACK calls the compiled integrand
     (cw_gauss_re and cw_gauss_im of ``_kernel.c``), which gives the bits of
     cmath.exp(1j * t * x - 0.5 * zeta * x * x), the tests' oracle of it."""
-    from ._native import kernel
-
     lib = kernel()
     zeta = complex(zeta)
     values = (ctypes.c_double * 3)(t, zeta.real, zeta.imag)
@@ -836,23 +804,9 @@ def _closed_form_mass(n: int) -> float:
     """Total mass of the closed-form density by nested adaptive quadrature;
     QUADPACK calls the compiled density (cw_density) through
     scipy.LowLevelCallable."""
-    x_cut, y_hi = _rescaled_cutoffs(n)
-    x_max = x_cut * n**0.75
-    y_max = y_hi * n
-    from ._native import kernel
-
     data = _density_data(n)
     density = LowLevelCallable(kernel().cw_density, ctypes.cast(data, ctypes.c_void_p))
-    val, _ = dblquad(
-        density,
-        0.0,
-        x_max,
-        lambda x: x * x / n,
-        y_max,
-        epsabs=1e-10,
-        epsrel=1e-9,
-    )
-    return 2.0 * val
+    return _support_dblquad(density, n, epsabs=1e-10, epsrel=1e-9)
 
 
 def suite_density(n_values: Iterable[int], tols: Mapping[str, float]) -> list[CheckReport]:

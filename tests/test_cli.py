@@ -127,6 +127,14 @@ class TestSimulate:
     def test_missing_out_exits_2(self):
         assert main(["simulate", "--n", "8"]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_sigma_whose_square_overflows_exits_2(self, tmp_path, capsys, command):
+        where = ["--n", "8"] if command == "simulate" else ["--n-list", "8"]
+        out = tmp_path / "run"
+        assert main([command, *where, "--sigma", "1e200", "--sweeps", "10", "--out", str(out)]) == 2
+        assert "finite normal double" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chains_recorded_in_id_order(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--n", "8", "--sweeps", "3", "--chains", "3", "--out", str(out)]) == 0
@@ -174,6 +182,20 @@ class TestLimit:
 
     def test_out_of_domain_quantile_is_usage_error(self):
         assert main(["limit", "--quantile", "1.5"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--density", "--cdf"])
+    def test_nan_point_is_usage_error_naming_the_flag(self, capsys, flag):
+        assert main(["limit", flag, "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{flag} must be a number" in err
+
+    @pytest.mark.parametrize(
+        "flag, point, printed",
+        [("--density", "inf", 0.0), ("--density", "-inf", 0.0), ("--cdf", "inf", 1.0), ("--cdf", "-inf", 0.0)],
+    )
+    def test_infinite_point_is_valid(self, capsys, flag, point, printed):
+        assert main(["limit", f"{flag}={point}"]) == 0
+        assert float(capsys.readouterr().out) == printed
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_unsigned_bits_exits_2(self, capsys, seed):

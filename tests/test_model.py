@@ -169,6 +169,16 @@ class TestParamTypes:
         with pytest.raises(DomainError):
             ModelParams(5, math.inf)
 
+    @pytest.mark.parametrize("sigma", [1e-170, 1.4e-154, 1.35e154, 1e200])
+    def test_sigma_whose_square_is_not_a_finite_normal_double_rejected(self, sigma):
+        # below, every spin's square underflows to 0; above, sigma^2 overflows
+        with pytest.raises(DomainError, match="finite normal double"):
+            ModelParams(8, sigma)
+
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1.34e154])
+    def test_sigma_just_inside_the_normal_range_accepted(self, sigma):
+        assert ModelParams(8, sigma).sigma == sigma
+
     def test_numpy_integer_n_accepted_bool_rejected(self):
         for n in (np.int64(8), np.int32(8)):
             params = ModelParams(n)

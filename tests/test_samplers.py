@@ -92,7 +92,7 @@ class TestInitChain:
         stats = sum_stats(chain.x)
         assert (chain.s, chain.t) == (stats.s, stats.t)
 
-    def test_degenerate_zero_draw_retried(self, monkeypatch):
+    def test_degenerate_zero_draw_rejected(self, monkeypatch):
         import cwsoc.samplers as samplers
 
         class ZeroThenNormal:
@@ -105,9 +105,15 @@ class TestInitChain:
 
         stub = ZeroThenNormal()
         monkeypatch.setattr(samplers, "chain_rng", lambda seed, cid=0: stub)
-        chain = init_chain(ModelParams(4, 1.0), SamplerConfig(seed=0))
-        assert stub.calls == 2
-        assert chain.t > 0.0
+        # the energy is undefined at t = 0; no redraw, which never ends once x^2 underflows
+        with pytest.raises(DomainError, match="not in \\(0, inf\\)"):
+            init_chain(ModelParams(4, 1.0), SamplerConfig(seed=0))
+        assert stub.calls == 1
+
+    def test_overflowing_draw_rejected(self):
+        # sigma^2 is normal, but (sigma z)^2 overflows for |z| above about 1.03
+        with pytest.raises(DomainError, match="not in \\(0, inf\\)"):
+            init_chain(ModelParams(64, 1.3e154), SamplerConfig(seed=0))
 
 
 class TestStep:
