@@ -6,10 +6,9 @@
  *   cw_outer_new, cw_outer_re, cw_outer_im, cw_outer_evaluations and
  *   cw_outer_free         the outer integrand of verification.invert_char_fn,
  *                         which QUADPACK calls through scipy.LowLevelCallable;
- *   cw_log_density and    the closed-form (s, t) density,
- *   cw_density            verification.log_density_closed_form and
- *                         density_closed_form, and the integrand of the
- *                         total-mass check;
+ *   cw_density            the closed-form (s, t) density,
+ *                         verification.density_closed_form, and the
+ *                         integrand of the total-mass check;
  *   cw_gauss_re and       the integrand of the complex suite's Gaussian-
  *   cw_gauss_im           integral oracle.
  * The entries QUADPACK calls have scipy.LowLevelCallable's signatures.
@@ -490,34 +489,22 @@ double cw_outer_im(double v, void *h)
     return cw_outer_value(h, v).im;
 }
 
-/* The log density of the untilted (s, t) law at sigma = 1 at (x, y), with
- * c = {n, (1/2) log(2^n pi n), log Gamma((n-1)/2)}:
- *     -y/2 + ((n-3)/2) log(y - x^2/n) - c[1] - c[2],
- * operation by operation as Python evaluates that expression; -inf outside
- * the open support x^2 < n y. */
-static double cw_log_density_at(double x, double y, const double *c)
-{
-    double gap = y - x * x / c[0];
-    if (gap <= 0.0) {
-        return -INFINITY;
-    }
-    return -0.5 * y + 0.5 * (c[0] - 3.0) * log(gap) - c[1] - c[2];
-}
-
-/* The log density and the density (zero outside the support) at xx = {y, x},
- * data = c of cw_log_density_at, for scipy.LowLevelCallable as
- * double (int, double *, void *): dblquad passes the inner variable y
- * first. */
-double cw_log_density(int nargs, double *xx, void *data)
-{
-    (void)nargs;
-    return cw_log_density_at(xx[1], xx[0], data);
-}
-
+/* The density exp(-y/2 + ((n-3)/2) log(y - x^2/n) - c[1] - c[2]) of the
+ * untilted (s, t) law at sigma = 1, operation by operation as Python
+ * evaluates it, at xx = {y, x} with data c = {n, (1/2) log(2^n pi n),
+ * log Gamma((n-1)/2)}; zero outside the open support x^2 < n y.  For
+ * scipy.LowLevelCallable as double (int, double *, void *): dblquad passes
+ * the inner variable y first. */
 double cw_density(int nargs, double *xx, void *data)
 {
     (void)nargs;
-    return exp(cw_log_density_at(xx[1], xx[0], data));
+    const double *c = data;
+    double x = xx[1], y = xx[0];
+    double gap = y - x * x / c[0];
+    if (gap <= 0.0) {
+        return 0.0;
+    }
+    return exp(-0.5 * y + 0.5 * (c[0] - 3.0) * log(gap) - c[1] - c[2]);
 }
 
 /* exp(i t x - zeta x^2 / 2) at x, data = {t, Re zeta, Im zeta}: the complex

@@ -1,9 +1,9 @@
 """Builds and loads the compiled kernels (``_kernel.c``) on first use: the
 Metropolis sweeps of ``samplers``, and ``verification``'s characteristic
-function, the inner u-rule of its Fourier inversion, the closed-form density
-and the integrands that QUADPACK calls through ``scipy.LowLevelCallable``:
-the inversion's outer integrand, the density and the Gaussian-integral
-oracle's.
+function, the inner u-rule of its Fourier inversion and the integrands that
+QUADPACK calls through ``scipy.LowLevelCallable``: the inversion's outer
+integrand, the closed-form (s, t) density (``cw_density``, which
+``density_closed_form`` calls too) and the Gaussian-integral oracle's.
 
 The library is compiled with the C compiler ``cc`` against numpy's shipped
 static ``numpy/random/lib/libnpyrandom.a``, so its draws run through the same
@@ -100,8 +100,7 @@ def kernel() -> ctypes.CDLL:
         lib.cw_outer_evaluations.restype = i64
         lib.cw_outer_free.argtypes = [ptr]
         lib.cw_outer_free.restype = None
-        for name in ("cw_log_density", "cw_density"):
-            getattr(lib, name).argtypes = [ctypes.c_int, ctypes.POINTER(f64), ptr]
-            getattr(lib, name).restype = f64
+        lib.cw_density.argtypes = [ctypes.c_int, ctypes.POINTER(f64), ptr]
+        lib.cw_density.restype = f64
         _lib = lib
     return _lib

@@ -267,6 +267,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         args, config, sweeps_default=5000, burn_in_default=500, translate_scale=TRANSLATE_SCALE
     )
     law = QuarticLaw(sigma)
+    sigma_sq = sigma * sigma  # t/n is taken in these units, so its squared deviations cannot overflow
 
     # serial, in --n-list order: row k comes from the k-th chain `run` returns
     rows = []
@@ -274,10 +275,10 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         chain = init_chain(ModelParams(n=n, sigma=sigma), cfg, chain_id=idx)
         records = run(chain, sweeps)
         s_scaled = np.sort(np.array([rec.s_scaled for rec in records]))
-        t_scaled = np.array([rec.t_scaled for rec in records])
+        t_unit = np.array([rec.t_scaled for rec in records]) / sigma_sq
         ks = ks_statistic(s_scaled, law.cdf) if records else math.nan
-        mean_t = float(t_scaled.mean()) if records else math.nan
-        sd_t = float(t_scaled.std(ddof=1)) if len(records) > 1 else math.nan
+        mean_t = float(t_unit.mean()) * sigma_sq if records else math.nan
+        sd_t = float(t_unit.std(ddof=1)) * sigma_sq if len(records) > 1 else math.nan
         rows.append((n, ks, mean_t, sd_t, len(records)))
 
     out_dir = Path(args.out)

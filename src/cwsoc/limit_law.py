@@ -1,15 +1,17 @@
 """The quartic limit law C * exp(-x^4 / (4 sigma^4)) dx.
 
-Its CDF is 1/2 +- P(1/4, x^4/(4 sigma^4))/2 with P the regularized lower
-incomplete gamma, so the CDF and the quantile are closed forms in
-``scipy.special`` and accept arrays.  The test suite checks the gamma
-functions used here against adaptive quadrature of the defining integrals.
+sigma is a pure scale: each quantity is computed in z = x/sigma under the
+unit law and scaled once.  The CDF is 1/2 +- P(1/4, z^4/4)/2 with P the
+regularized lower incomplete gamma, so the CDF and the quantile are closed
+forms in ``scipy.special`` and accept arrays.  The test suite checks the
+gamma functions used here against adaptive quadrature of the defining
+integrals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincinv, gammaln
@@ -27,40 +29,49 @@ def normalizer(sigma: float) -> float:
     return positive_real(sigma, "sigma") / math.sqrt(2.0) * float(gamma(0.25))
 
 
+_LOG_UNIT_NORMALIZER = math.log(normalizer(1.0))
+
+
+def _unit_log_density(z: float) -> float:
+    """Log density of the law at sigma = 1; -inf where z^4 overflows, as the density underflows there."""
+    try:
+        return -(z**4) / 4.0 - _LOG_UNIT_NORMALIZER
+    except OverflowError:
+        return -math.inf
+
+
 @dataclass(frozen=True)
 class QuarticLaw:
     """The distribution with density exp(-x^4/(4 sigma^4)) / ((sigma/sqrt 2) Gamma(1/4)).
 
-    sigma may be any real type except bool (numpy scalars included); it is
-    stored as a Python float.
+    sigma may be any positive finite real except bool (numpy scalars
+    included); it is stored as a Python float.  No power of sigma is formed,
+    so a value overflows only where it exceeds the double range: the density,
+    1/sigma times the unit density, for sigma below about 2e-309.
     """
 
     sigma: float = 1.0
-    log_normalizer: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", positive_real(self.sigma, "sigma"))
-        object.__setattr__(
-            self,
-            "log_normalizer",
-            math.log(self.sigma) - 0.5 * math.log(2.0) + float(gammaln(0.25)),
-        )
 
     def log_density(self, x: float) -> float:
-        return -(x**4) / (4.0 * self.sigma**4) - self.log_normalizer
+        return _unit_log_density(x / self.sigma) - math.log(self.sigma)
 
     def density(self, x: float) -> float:
-        return math.exp(self.log_density(x))
+        return math.exp(_unit_log_density(x / self.sigma)) / self.sigma
 
     def cdf(self, x):
-        """Exact CDF 1/2 +- P(1/4, x^4/(4 sigma^4))/2; elementwise on arrays."""
+        """Exact CDF 1/2 +- P(1/4, z^4/4)/2, z = x/sigma; elementwise on arrays."""
         x = np.asarray(x, dtype=float)
-        x_sq = x * x
-        p_half = 0.5 * gammainc(0.25, x_sq * x_sq / (4.0 * self.sigma**4))
+        z = x / self.sigma
+        with np.errstate(over="ignore"):  # an infinite z^4 gives P = 1
+            z_sq = z * z
+            p_half = 0.5 * gammainc(0.25, z_sq * z_sq / 4.0)
         return np.where(x >= 0.0, 0.5 + p_half, 0.5 - p_half)[()]
 
     def quantile(self, p):
-        """Inverse CDF +-(4 sigma^4 P^{-1}(1/4, |2p - 1|))^{1/4}; elementwise on arrays.
+        """Inverse CDF +-sigma (4 P^{-1}(1/4, |2p - 1|))^{1/4}; elementwise on arrays.
 
         The upper-half probability max(p, 1 - p) is what gets inverted, so
         quantile(1 - p) == -quantile(p) holds exactly.
@@ -71,11 +82,11 @@ class QuarticLaw:
         if not np.all((probs > 0.0) & (probs < 1.0)):
             raise DomainError(f"quantile requires p in (0, 1), got {p!r}")
         upper = np.maximum(probs, 1.0 - probs)
-        magnitude = np.sqrt(np.sqrt(4.0 * self.sigma**4 * gammaincinv(0.25, 2.0 * upper - 1.0)))
+        magnitude = self.sigma * np.sqrt(np.sqrt(4.0 * gammaincinv(0.25, 2.0 * upper - 1.0)))
         return np.where(probs < 0.5, -magnitude, magnitude)[()]
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Exact draws: X = +/- (4 sigma^4 G)^{1/4}, G ~ Gamma(1/4, 1), sign fair.
+        """Exact draws: X = +/- sigma (4 G)^{1/4}, G ~ Gamma(1/4, 1), sign fair.
 
         Consumes the generator in a fixed order (gamma block, then sign block)
         so that draws are reproducible given the generator state; size=None
@@ -85,20 +96,16 @@ class QuarticLaw:
         negative = rng.random(size) < 0.5
         # np.power takes a scalar g through the same loop as an array; Python's
         # float ** can round differently.
-        magnitude = np.power(4.0 * self.sigma**4 * g, 0.25)
+        magnitude = self.sigma * np.power(4.0 * g, 0.25)
         return np.where(negative, -magnitude, magnitude)[()]
 
     def even_moment(self, m: int) -> float:
-        """E[X^{2m}] = (4 sigma^4)^{m/2} Gamma((2m+1)/4) / Gamma(1/4)."""
+        """E[X^{2m}] = sigma^{2m} 2^m Gamma((2m+1)/4) / Gamma(1/4)."""
         if not (is_integer(m) and m >= 1):
             raise DomainError(f"m must be a positive integer, got {m!r}")
         m = int(m)
-        log_val = (
-            0.5 * m * math.log(4.0 * self.sigma**4)
-            + gammaln((2 * m + 1) / 4.0)
-            - gammaln(0.25)
-        )
-        return math.exp(log_val)
+        log_unit = 0.5 * m * math.log(4.0) + gammaln((2 * m + 1) / 4.0) - gammaln(0.25)
+        return math.exp(log_unit + 2 * m * math.log(self.sigma))
 
     def moment(self, k: int) -> float:
         """E[X^k]; exactly 0 for odd k by symmetry."""

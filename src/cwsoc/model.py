@@ -6,10 +6,11 @@ Everything of interest factors through the sufficient statistics
 s = sum(x_i) and t = sum(x_i^2) (``sum_stats``, a compensated sum in a fixed
 order).  ``log_joint_density_unnormalized`` is the closed-form density of
 (s, t), unnormalized and in log space: the exponents grow like n*log(n), so
-nothing here ever exponentiates a large quantity.  ``psi`` is the exponent of
-the Laplace analysis that :mod:`cwsoc.verification` uses, where the
-normalization constants are estimated too.  The module also holds the
-argument checks and the error types the whole package raises.
+nothing here ever exponentiates a large quantity (the raw-coordinate route
+to C_n in :mod:`cwsoc.verification` integrates its exponential at small n).
+``psi`` is the exponent of the Laplace analysis that :mod:`cwsoc.verification`
+uses, where the normalization constants are estimated too.  The module also
+holds the argument checks and the error types the whole package raises.
 """
 
 from __future__ import annotations

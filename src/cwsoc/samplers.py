@@ -86,7 +86,7 @@ class SamplerConfig:
             raise DomainError(f"burn_in_sweeps must be a nonnegative integer, got {self.burn_in_sweeps!r}")
         if not (is_integer(self.thin_sweeps) and self.thin_sweeps >= 1):
             raise DomainError(f"thin_sweeps must be a positive integer, got {self.thin_sweeps!r}")
-        object.__setattr__(self, "seed", _checked_seed(self.seed))
+        object.__setattr__(self, "seed", _checked_key(self.seed, "seed"))
         for name in ("burn_in_sweeps", "thin_sweeps"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
@@ -121,19 +121,19 @@ class ChainState:
         self.s, self.t = sum_stats(self.x)
 
 
-def _checked_seed(seed) -> int:
-    """seed as a Python int if it is an integer (bool excepted) that fits in 64
-    unsigned bits; DomainError otherwise."""
-    if not (is_integer(seed) and 0 <= seed < 2**64):
-        raise DomainError(f"seed must be an integer that fits in 64 unsigned bits, got {seed!r}")
-    return int(seed)
+def _checked_key(value, name: str) -> int:
+    """A seed or chain id as a Python int if it is an integer (bool excepted)
+    that fits in 64 unsigned bits; DomainError naming it otherwise."""
+    if not (is_integer(value) and 0 <= value < 2**64):
+        raise DomainError(f"{name} must be an integer that fits in 64 unsigned bits, got {value!r}")
+    return int(value)
 
 
 def chain_rng(seed: int, chain_id: int = 0) -> np.random.Generator:
-    """The documented stream-derivation rule: Philox keyed by (seed, chain_id)."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=_checked_seed(seed), spawn_key=(int(chain_id),)))
-    )
+    """The documented stream-derivation rule: Philox keyed by (seed, chain_id),
+    each an integer that fits in 64 unsigned bits."""
+    seed_seq = np.random.SeedSequence(_checked_key(seed, "seed"), spawn_key=(_checked_key(chain_id, "chain_id"),))
+    return np.random.Generator(np.random.Philox(seed_seq))
 
 
 def init_chain(params: ModelParams, cfg: SamplerConfig, chain_id: int = 0) -> ChainState:
@@ -148,7 +148,7 @@ def init_chain(params: ModelParams, cfg: SamplerConfig, chain_id: int = 0) -> Ch
         s, t = sum_stats(x)
     if not 0.0 < t < math.inf:  # the energy is undefined there
         raise DomainError(f"the initial configuration at sigma={params.sigma!r} has t = {t!r}, not in (0, inf)")
-    return ChainState(x=x, s=s, t=t, params=params, cfg=cfg, rng=rng, chain_id=chain_id)
+    return ChainState(x=x, s=s, t=t, params=params, cfg=cfg, rng=rng, chain_id=int(chain_id))
 
 
 def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:

@@ -19,13 +19,13 @@ Design notes
   the node-by-node numpy rule as their oracles.
   Phi_n(u, -v) = conj Phi_n(u, v), so only the v >= 0 half is integrated and
   the inverted density has no imaginary part to report.
-* The closed-form density is one compiled function that
-  log_density_closed_form and density_closed_form wrap and that the
-  total-mass check hands to dblquad; the complex suite's Gaussian-integral
-  oracle integrates a compiled integrand.  Both keep the operations of the
-  Python expressions the tests hold as their oracles.  The raw route
-  log_C_n_by_raw_quadrature is the one quadrature left that calls Python at
-  its nodes, so that the laplace suite never loads the kernel.  The
+* The closed-form density is one compiled function, cw_density, that
+  density_closed_form wraps and the total-mass check hands to dblquad; the
+  complex suite's Gaussian-integral oracle integrates a compiled integrand.
+  Both keep the operations of the Python expressions the tests hold as their
+  oracles.  The raw route log_C_n_by_raw_quadrature integrates the model's
+  own density and is the one quadrature left that calls Python at its
+  nodes, so that the laplace suite never loads the kernel.  The
   normalization grids sum their exponentials in place, with the bits of
   scipy.special.logsumexp, which the tests keep as the oracle.
 """
@@ -46,7 +46,8 @@ from scipy.special import gammaln, roots_legendre
 
 from ._native import kernel
 from .limit_law import normalizer
-from .model import DomainError, UnsupportedOrderError, MIN_DENSITY_N, is_integer, psi, psi_unchecked
+from .model import DomainError, ModelParams, SupportError, UnsupportedOrderError, MIN_DENSITY_N, is_integer
+from .model import log_joint_density_unnormalized, psi, psi_unchecked
 
 __all__ = [
     "principal_log",
@@ -55,7 +56,6 @@ __all__ = [
     "gamma_law_cf",
     "char_fn",
     "density_closed_form",
-    "log_density_closed_form",
     "invert_char_fn",
     "InversionResult",
     "InversionAccuracyError",
@@ -165,24 +165,11 @@ def _untilted_normalizer(n) -> tuple[int, float, float]:
     return n, 0.5 * (n * math.log(2.0) + math.log(math.pi * n)), float(gammaln(0.5 * (n - 1)))
 
 
-def _density_data(n) -> ctypes.Array:
-    """_untilted_normalizer(n) as the C double[3] the compiled density
-    (cw_log_density, cw_density of ``_kernel.c``) takes as its data."""
-    return (ctypes.c_double * 3)(*_untilted_normalizer(n))
-
-
-def log_density_closed_form(x: float, y: float, n: int) -> float:
-    """Log of the closed-form density; -inf outside the open support x^2 < n y.
-    Computed by cw_log_density of the compiled kernel (``_kernel.c``)."""
-    data = _density_data(n)
-    return kernel().cw_log_density(2, (ctypes.c_double * 2)(y, x), data)
-
-
 def density_closed_form(x: float, y: float, n: int) -> float:
     """Density of the n-fold untilted (s, t) law at sigma = 1; zero outside support.
-    Computed by cw_density of the compiled kernel, the exponential of
-    log_density_closed_form's value."""
-    data = _density_data(n)
+    Computed by cw_density of the compiled kernel (``_kernel.c``), which takes
+    _untilted_normalizer(n) as its data."""
+    data = (ctypes.c_double * 3)(*_untilted_normalizer(n))
     return kernel().cw_density(2, (ctypes.c_double * 2)(y, x), data)
 
 
@@ -220,6 +207,8 @@ Q_WIDTHS = 7.5
 PANEL_NODES = 8
 PANEL_PHASE = 8.0
 BLOCK_PANELS = 32
+# invert_char_fn's panel budget of the inner rule at v = pi/|y - x^2/n|
+FIRST_CYCLE_PANELS = 2**14
 
 
 class _InnerRule(ctypes.Structure):
@@ -342,16 +331,20 @@ def invert_char_fn(x: float, y: float, n: int, tol: float) -> InversionResult:
     estimates of the two QAWF passes; it leaves out the inner Gauss-Legendre
     rule, whose error tests/test_verification.py bounds by 1e-10 of
     int |Phi_n(u, v)| du.
-    Raises InversionAccuracyError if the error bound exceeds tol, before any
-    quadrature when the truncation term alone does.
+    Raises InversionAccuracyError if the error bound exceeds tol; before any
+    quadrature if the truncation term alone does, or if w = y - x^2/n != 0 is
+    so small that the inner rule at the end of the first cycle, v = pi/|w|,
+    needs more than FIRST_CYCLE_PANELS = 2^14 panels (about 7 v): run time
+    grows as 1/|w|, and at |w| = 1e-4 the error estimate was 20 times short.
     """
     n = _order(n, "Fourier inversion")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     # QUADPACK's Fourier transform crashes the interpreter on a non-finite
-    # frequency or integrand value
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"Fourier inversion requires a finite point, got (x={x!r}, y={y!r})")
+    # frequency or integrand value; w is not finite where x or y is not
+    w = y - x * x / n
+    if not math.isfinite(w):
+        raise DomainError(f"Fourier inversion requires a finite point and y - x^2/n, got (x={x!r}, y={y!r})")
     inv_four_pi_sq = 1.0 / (_TWO_PI * _TWO_PI)
     # Truncation of the inner integral at q Gaussian widths.  The quadrature
     # error only adds to this term, so a tol below it cannot be met.
@@ -362,7 +355,14 @@ def invert_char_fn(x: float, y: float, n: int, tol: float) -> InversionResult:
             f"inversion at (x={x!r}, y={y!r}, n={n}): truncation error "
             f"{truncation:.3e} alone exceeds tol {tol:.3e}"
         )
-    w = y - x * x / n
+    if w != 0.0:
+        v_end = math.pi / abs(w)
+        phase = abs(x) * Q_WIDTHS * math.sqrt((1.0 + 4.0 * v_end * v_end) / n) + Q_WIDTHS * Q_WIDTHS * v_end
+        if not 6.0 + phase / PANEL_PHASE < FIRST_CYCLE_PANELS + 1:
+            raise InversionAccuracyError(
+                f"inversion at (x={x!r}, y={y!r}, n={n}): |y - x^2/n| = {abs(w):.3e} is so small that the "
+                f"inner rule needs more than {FIRST_CYCLE_PANELS} panels at v = {v_end:.3e}"
+            )
     # The v < 0 half doubles Re h against cos(wv) and Im h against sin(wv),
     # and cancels the other two products.  QUADPACK's subdivision, and with
     # it every bit of the value, depends on epsabs = tol / 12.
@@ -514,18 +514,19 @@ def _support_dblquad(integrand, n: int, epsabs: float, epsrel: float) -> float:
 
 
 def log_C_n_by_raw_quadrature(n: int) -> float:
-    """Second, independent route to log C_n: adaptive 2-d quadrature of the
-    unrescaled integrand.  Only sensible for small n, where the integrand fits
-    ordinary double precision."""
-    n = _order(n, "raw-coordinate quadrature")
+    """Second, independent route to log C_n: adaptive 2-d quadrature, in raw
+    coordinates, of the model's own density model.log_joint_density_unnormalized
+    at sigma = 1, 0 off its support.  Only sensible for small n, where the
+    integrand fits ordinary double precision."""
+    params = ModelParams(_order(n, "raw-coordinate quadrature"), 1.0)
 
     def integrand(y: float, x: float) -> float:
-        gap = y - x * x / n
-        if gap <= 0.0:
+        try:
+            return math.exp(log_joint_density_unnormalized((x, y), params))
+        except SupportError:
             return 0.0
-        return math.exp(x * x / (2.0 * y) - 0.5 * y + 0.5 * (n - 3) * math.log(gap))
 
-    return math.log(_support_dblquad(integrand, n, epsabs=1e-12, epsrel=1e-10))
+    return math.log(_support_dblquad(integrand, params.n, epsabs=1e-12, epsrel=1e-10))
 
 
 def laplace_ratio(n: int) -> float:
@@ -804,7 +805,7 @@ def _closed_form_mass(n: int) -> float:
     """Total mass of the closed-form density by nested adaptive quadrature;
     QUADPACK calls the compiled density (cw_density) through
     scipy.LowLevelCallable."""
-    data = _density_data(n)
+    data = (ctypes.c_double * 3)(*_untilted_normalizer(n))
     density = LowLevelCallable(kernel().cw_density, ctypes.cast(data, ctypes.c_void_p))
     return _support_dblquad(density, n, epsabs=1e-10, epsrel=1e-9)
 

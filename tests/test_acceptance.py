@@ -253,3 +253,7 @@ def test_full_verification_suite_passes(tmp_path):
             f"{len(reports) - len(failed)}/{len(reports)} checks pass"
             + (f"; failing: {failed}" if failed else ""))
     assert not failed, f"failing checks: {failed}"
+    # README, CI's verify step and the benchmark's VERIFY_CHECKS pin these counts
+    families = [r.name.split("/")[0] for r in reports]
+    assert len(reports) == 72
+    assert {f: families.count(f) for f in set(families)} == {"complex": 26, "laplace": 36, "density": 10}

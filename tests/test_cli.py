@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 
 import cwsoc
 from cwsoc.cli import main
-from cwsoc.limit_law import QuarticLaw
+from cwsoc.limit_law import QuarticLaw, normalizer
+from cwsoc.samplers import chain_rng
 from cwsoc.verification import TOLERANCES
 
 
@@ -189,6 +191,35 @@ class TestLimit:
         out, err = capsys.readouterr()
         assert out == "" and f"{flag} must be a number" in err
 
+    # sigma^4 lies outside the double range at each of these sigma
+    @pytest.mark.parametrize(
+        "sigma, flag, point, printed",
+        [
+            ("1e100", "--density", "0", 1.0 / (1e100 * normalizer(1.0))),
+            ("1e-170", "--density", "0", 1.0 / (1e-170 * normalizer(1.0))),
+            ("1e-170", "--density", "1", 0.0),
+            ("1e200", "--cdf", "1", 0.5),
+            ("1e-170", "--cdf", "1", 1.0),
+            ("1e100", "--quantile", "0.75", 1e100 * QuarticLaw(1.0).quantile(0.75)),
+        ],
+    )
+    def test_extreme_sigma(self, capsys, sigma, flag, point, printed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["limit", "--sigma", sigma, flag, point]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(printed, rel=1e-14)
+
+    def test_extreme_sigma_sample(self, capsys):
+        assert main(["limit", "--sigma", "1e100", "--sample", "2"]) == 0
+        draws = [float(v) for v in capsys.readouterr().out.split()]
+        unit = QuarticLaw(1.0).sample(chain_rng(0, 0), size=2)
+        assert draws == pytest.approx(1e100 * unit, rel=1e-15)
+
+    def test_density_far_out_is_zero(self, capsys):
+        # x^4 lies beyond the double range
+        assert main(["limit", "--density", "1e100"]) == 0
+        assert float(capsys.readouterr().out) == 0.0
+
     @pytest.mark.parametrize(
         "flag, point, printed",
         [("--density", "inf", 0.0), ("--density", "-inf", 0.0), ("--cdf", "inf", 1.0), ("--cdf", "-inf", 0.0)],
@@ -331,6 +362,21 @@ class TestConvergence:
         assert n == "16"
         assert 0.0 < float(ks) < 1.0
         assert int(samples) == 200
+
+    def test_extreme_sigma(self, tmp_path):
+        # sigma^4, and the squared deviations of t/n from its mean, lie beyond
+        # the double range
+        rows = {}
+        for sigma in ("1", "1e100"):
+            out = tmp_path / sigma
+            assert main(["convergence", "--n-list", "8", "--sigma", sigma, "--sweeps", "20", "--burn-in", "0",
+                         "--out", str(out)]) == 0
+            rows[sigma] = [float(v) for v in read(out / "convergence.csv").splitlines()[1].split(",")]
+        n, ks, mean_t, sd_t, samples = rows["1e100"]
+        assert (n, samples) == (8, 20)
+        assert ks == pytest.approx(rows["1"][1], rel=1e-12)
+        assert mean_t == pytest.approx(1e200 * rows["1"][2], rel=1e-12)
+        assert sd_t == pytest.approx(1e200 * rows["1"][3], rel=1e-10)
 
     def test_requested_counts_and_manifest(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CWSOC_SEED", raising=False)

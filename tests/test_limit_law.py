@@ -2,6 +2,7 @@
 built on, against quadrature oracles and exact identities."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +104,49 @@ class TestQuarticLawSigma:
     def test_bad_sigma_rejected(self, sigma):
         with pytest.raises(DomainError, match="sigma"):
             QuarticLaw(sigma)
+
+
+class TestSigmaIsAScale:
+    """QuarticLaw(sigma) at sigma x is QuarticLaw(1) at x, with the 1/sigma
+    factor of the density; bit for bit where sigma is a power of two, since
+    dividing by it is exact."""
+
+    SIGMAS = [2.0**k for k in (-1000, -300, -40, -1, 1, 7, 300, 1000)]
+    XS = np.concatenate([np.linspace(-6.0, 6.0, 49), [1e-3, -2.5e-7, 1e5, -1e30]])
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_density_and_cdf(self, sigma):
+        unit, law = QuarticLaw(1.0), QuarticLaw(sigma)
+        # where sigma x is a finite normal double or zero, x is (sigma x)/sigma exactly
+        xs = np.array([x for x in self.XS.tolist() if x == 0.0 or sys.float_info.min <= abs(sigma * x) < math.inf])
+        assert xs.size >= 50
+        for x in xs.tolist():
+            assert law.density(sigma * x) == unit.density(x) / sigma, x
+            assert law.log_density(sigma * x) == unit.log_density(x) - math.log(sigma), x
+        np.testing.assert_array_equal(law.cdf(sigma * xs), unit.cdf(xs))
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_quantile_and_sample(self, sigma):
+        unit, law = QuarticLaw(1.0), QuarticLaw(sigma)
+        ps = np.linspace(0.01, 0.99, 99)
+        np.testing.assert_array_equal(law.quantile(ps), sigma * unit.quantile(ps))
+        np.testing.assert_array_equal(law.sample(chain_rng(9, 0), 100), sigma * unit.sample(chain_rng(9, 0), 100))
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_even_moments(self, sigma):
+        unit, law = QuarticLaw(1.0), QuarticLaw(sigma)
+        for m in (1, 2, 3):
+            if 2 * m * abs(math.log2(sigma)) < 1000:
+                assert law.even_moment(m) == pytest.approx(sigma ** (2 * m) * unit.even_moment(m), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e100, 1e300])
+    def test_extreme_sigma_stays_finite(self, sigma):
+        # sigma^4 lies outside the double range
+        law = QuarticLaw(sigma)
+        assert law.density(0.0) == pytest.approx(1.0 / (sigma * normalizer(1.0)), rel=1e-15)
+        assert law.cdf(sigma) == pytest.approx(QuarticLaw(1.0).cdf(1.0), rel=1e-15)
+        assert law.quantile(0.75) == pytest.approx(sigma * QuarticLaw(1.0).quantile(0.75), rel=1e-15)
+        assert law.cdf(1.0) == (1.0 if sigma < 1.0 else 0.5)
 
 
 class TestQuarticLawDensity:

@@ -67,6 +67,15 @@ class TestSamplerConfig:
     def test_chain_rng_takes_numpy_integer_seeds(self):
         assert chain_rng(np.uint64(2**64 - 1), 0).random() == chain_rng(2**64 - 1, 0).random()
 
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, "1", -1, np.int64(-1), 2**64, None])
+    def test_chain_rng_follows_the_seed_rule_for_chain_ids(self, bad):
+        # int(1.7) would key chain 1's stream, and numpy rejects -1 with its own ValueError
+        with pytest.raises(DomainError, match="chain_id must be an integer that fits in 64 unsigned bits"):
+            chain_rng(0, bad)
+
+    def test_chain_rng_takes_numpy_integer_chain_ids(self):
+        assert chain_rng(0, np.uint8(3)).random() == chain_rng(0, 3).random()
+
 
 class TestInitChain:
     def test_deterministic_given_seed(self):
@@ -80,6 +89,17 @@ class TestInitChain:
         a = init_chain(params, cfg, chain_id=0)
         b = init_chain(params, cfg, chain_id=1)
         assert not np.array_equal(a.x, b.x)
+
+    @pytest.mark.parametrize("bad", [1.7, True, "1", -1])
+    def test_bad_chain_id_rejected(self, bad):
+        with pytest.raises(DomainError, match="chain_id must be an integer"):
+            init_chain(ModelParams(8, 1.0), SamplerConfig(seed=0), chain_id=bad)
+
+    def test_numpy_integer_chain_id_stored_as_int(self):
+        params, cfg = ModelParams(8, 1.0), SamplerConfig(seed=0)
+        chain = init_chain(params, cfg, chain_id=np.int64(2))
+        assert type(chain.chain_id) is int and chain.chain_id == 2
+        assert np.array_equal(chain.x, init_chain(params, cfg, chain_id=2).x)
 
     def test_initial_t_concentrates(self):
         # chi-square concentration: t/n within 3*sqrt(2)*sigma^2/sqrt(n) of sigma^2

@@ -4,6 +4,10 @@ import cmath
 import ctypes
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +16,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, hyp1f1, logsumexp
 
+import cwsoc
 from cwsoc._native import kernel
 from cwsoc.limit_law import QuarticLaw
-from cwsoc.model import DomainError, SupportError, UnsupportedOrderError, psi_unchecked
+from cwsoc.model import (
+    DomainError, ModelParams, SupportError, UnsupportedOrderError, log_joint_density_unnormalized, psi_unchecked,
+)
 from cwsoc.verification import (
     CheckReport,
     NormalizationBoundError,
@@ -26,7 +33,6 @@ from cwsoc.verification import (
     gamma_law_cf,
     invert_char_fn,
     inversion_probe_points,
-    log_density_closed_form,
     ks_statistic,
     laplace_ratio,
     log_C_n_by_raw_quadrature,
@@ -39,6 +45,7 @@ from cwsoc.verification import (
 )
 from cwsoc.verification import (
     C_N_NODES,
+    FIRST_CYCLE_PANELS,
     LAPLACE_ORDERS,
     LAPLACE_RATIO_NODES,
     PANEL_NODES,
@@ -58,6 +65,7 @@ from cwsoc.verification import (
     _qawf,
     _rescaled_cutoffs,
     _rescaled_log_terms,
+    _support_dblquad,
     suite_density,
 )
 
@@ -208,8 +216,8 @@ class TestCharFn:
 
 
 def python_log_density(x, y, n):
-    """Reference oracle of the compiled closed-form log density: its formula
-    in Python, in the operation order the compiled one keeps."""
+    """Reference oracle of the compiled closed-form density: the formula of its
+    logarithm in Python, in the operation order the compiled one keeps."""
     gap = y - x * x / n
     if gap <= 0.0:
         return -math.inf
@@ -262,7 +270,6 @@ class TestClosedFormDensity:
         points += [(x, y) for x in xs for y in ys]
         for x, y in points:
             expected = python_log_density(x, y, n)
-            assert log_density_closed_form(x, y, n) == expected, (x, y)
             assert density_closed_form(x, y, n) == (0.0 if expected == -math.inf else math.exp(expected)), (x, y)
 
     def test_every_point_the_mass_quadrature_visits(self, monkeypatch):
@@ -607,6 +614,49 @@ class TestInversionAccuracyErrorPaths:
         with pytest.raises(InversionAccuracyError, match="reached error bound .* > tol 4.700e-14"):
             invert_char_fn(0.0, 5.0, 5, tol=4.7e-14)
 
+    # (3, 9/5) lies on the support boundary y = x^2/n of n = 5
+    NEAR_BOUNDARY = (1.8 + 1e-3, 1.8 + 1e-4, 1.8 - 1e-4, 1.8 + 1e-6, math.nextafter(1.8, 2.0))
+
+    @pytest.mark.parametrize("y", NEAR_BOUNDARY)
+    def test_near_boundary_fails_before_any_quadrature(self, monkeypatch, y):
+        def unused(*args):
+            raise AssertionError("no outer integrand may be built")
+
+        monkeypatch.setattr("cwsoc.verification._OuterIntegrand", unused)
+        with pytest.raises(InversionAccuracyError, match=f"more than {FIRST_CYCLE_PANELS} panels"):
+            invert_char_fn(3.0, y, 5, tol=1e-4)
+
+    def test_near_boundary_fails_fast_in_a_child_process(self):
+        # Without the panel budget these calls run for seconds to minutes, and
+        # CI's job limit is 30 minutes: the child's timeout fails a regression
+        # in seconds.
+        script = (
+            "import sys\n"
+            "from cwsoc.verification import InversionAccuracyError, invert_char_fn\n"
+            f"for y in {self.NEAR_BOUNDARY!r}:\n"
+            "    try:\n"
+            "        invert_char_fn(3.0, y, 5, tol=1e-4)\n"
+            "    except InversionAccuracyError:\n"
+            "        continue\n"
+            "    sys.exit(f'y = {y!r} returned')\n"
+            "print(invert_char_fn(3.0, 9 / 5, 5, tol=1e-4).value)\n"
+        )
+        src = str(Path(cwsoc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        # y = x^2/n keeps QUADPACK's QAGI pass, where the closed form is 0
+        assert abs(float(proc.stdout)) < 1e-4
+
+    def test_non_finite_gap_rejected_before_any_quadrature(self, monkeypatch):
+        # x^2 overflows, so y - x^2/n is -inf: QUADPACK crashes the interpreter on it
+        def unused(*args):
+            raise AssertionError("no outer integrand may be built")
+
+        monkeypatch.setattr("cwsoc.verification._OuterIntegrand", unused)
+        with pytest.raises(DomainError, match="finite point"):
+            invert_char_fn(1e200, 1.0, 5, tol=1e-3)
+
 
 def psi_log_rescaled_mass(n, nodes):
     """Reference oracle of _log_rescaled_mass: the same tensor Gauss-Legendre
@@ -677,6 +727,28 @@ class TestNormalization:
         raw = log_C_n_by_raw_quadrature(5)
         assert math.exp(est.log_C_n) == pytest.approx(math.exp(raw), rel=1e-6)
 
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_raw_route_integrates_the_model_density(self, monkeypatch, n):
+        # the integrand's formula written out, the oracle of the model's density
+        # on the raw route
+        def inline(y, x):
+            gap = y - x * x / n
+            if gap <= 0.0:
+                return 0.0
+            return math.exp(x * x / (2.0 * y) - 0.5 * y + 0.5 * (n - 3) * math.log(gap))
+
+        oracle = math.log(_support_dblquad(inline, n, epsabs=1e-12, epsrel=1e-10))
+        calls = []
+
+        def recording(stats, params):
+            calls.append((stats, params))
+            return log_joint_density_unnormalized(stats, params)
+
+        monkeypatch.setattr("cwsoc.verification.log_joint_density_unnormalized", recording)
+        assert log_C_n_by_raw_quadrature(n).hex() == oracle.hex()
+        assert len(calls) > 10000
+        assert {params for _, params in calls} == {ModelParams(n, 1.0)}
+
     def test_error_bound_populated(self):
         est = estimate_C_n(6)
         assert 0.0 < est.quadrature_error_bound < 1e-4
@@ -719,7 +791,7 @@ class TestIntegerOrders:
         assert all(type(f) is float for f in (est.log_C_n, est.log_Z_n, est.quadrature_error_bound))
         assert type(laplace_ratio(np.int32(100))) is float
         assert char_fn(0.3, 0.2, np.int64(5)) == char_fn(0.3, 0.2, 5)
-        assert type(log_density_closed_form(1.0, 6.0, np.int16(6))) is float
+        assert type(density_closed_form(1.0, 6.0, np.int16(6))) is float
 
     @pytest.mark.parametrize("n", [5, 6, 9, 40])
     def test_cached_normalizer_keeps_the_bits(self, n):
@@ -727,7 +799,7 @@ class TestIntegerOrders:
             gap = y - x * x / n
             log_value = -0.5 * y + 0.5 * (n - 3) * math.log(gap)
             expected = log_value - 0.5 * (n * math.log(2.0) + math.log(math.pi * n)) - float(gammaln(0.5 * (n - 1)))
-            assert log_density_closed_form(x, y, n) == expected
+            assert density_closed_form(x, y, n) == math.exp(expected)
 
 
 class TestLaplaceRatio:
