@@ -18,9 +18,10 @@
  * through the functions numpy.random.Generator calls for
  * integers(0, n, size=n), standard_normal(n) and random(n), in that order,
  * so the stream is the one the Python API would consume.  With a translation
- * scale d > 0, each sweep then ends with one translation x -> x + delta 1,
- * delta = d z, drawing z as standard_normal(1) and its acceptance uniform as
- * random(1); with d = 0 it draws nothing more.
+ * scale d > 0, each sweep then ends with `moves` translations
+ * x -> x + delta 1, delta = d z, each drawing its z as standard_normal(1) and
+ * then its acceptance uniform as random(1), so the stream runs z1, u1, z2,
+ * u2, ...; with d = 0 it draws nothing more.
  *
  * Its static helper cw_metropolis runs one single-site random-walk step per
  * drawn (site, normal, uniform) triple, and cw_translate runs the
@@ -101,8 +102,9 @@ static int64_t cw_metropolis(double *x, double *st, const int64_t *sites, const 
 /* One translation of all n spins by delta = d z, z and u drawn here: it
  * leaves t - s^2/n unchanged and moves s by n delta, so (s, t) is updated in
  * O(1) and the n spins only when it is accepted.  The move is symmetric and
- * preserves volume, so it is accepted by the single-site steps' rule. */
-static void cw_translate(bitgen_t *bitgen, double *x, int64_t n, double *st, double d, double inv_two_sigma_sq)
+ * preserves volume, so it is accepted by the single-site steps' rule.
+ * Returns whether it was accepted. */
+static bool cw_translate(bitgen_t *bitgen, double *x, int64_t n, double *st, double d, double inv_two_sigma_sq)
 {
     double z;
     double u;
@@ -119,20 +121,25 @@ static void cw_translate(bitgen_t *bitgen, double *x, int64_t n, double *st, dou
         }
         st[0] = s_new;
         st[1] = t_new;
+        return true;
     }
+    return false;
 }
 
-/* Runs `sweeps` sweeps of n steps each, each followed by one translation of
- * scale d when d > 0, writing the cached (s, t) after sweep i to s_out[i]
- * and t_out[i]; returns the number of accepted single-site proposals, or -1
+/* Runs `sweeps` sweeps of n steps each, each followed by `moves`
+ * translations of scale d when d > 0, writing the cached (s, t) after sweep
+ * i to s_out[i] and t_out[i] and the number of accepted translations to
+ * *translated; returns the number of accepted single-site proposals, or -1
  * when the draw buffers cannot be allocated. */
-int64_t cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double *st, int64_t sweeps,
-                  double scale, double inv_two_sigma_sq, double d, double *s_out, double *t_out)
+int64_t cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double *st, int64_t sweeps, double scale,
+                  double inv_two_sigma_sq, double d, int64_t moves, double *s_out, double *t_out,
+                  int64_t *translated)
 {
     uint64_t *sites = malloc((size_t)n * sizeof *sites);
     double *normals = malloc((size_t)n * sizeof *normals);
     double *uniforms = malloc((size_t)n * sizeof *uniforms);
     int64_t accepted = -1;
+    *translated = 0;
     if (sites != NULL && normals != NULL && uniforms != NULL) {
         accepted = 0;
         for (int64_t i = 0; i < sweeps; i++) {
@@ -141,8 +148,8 @@ int64_t cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double *st, int64_t sw
             random_standard_uniform_fill(bitgen, n, uniforms);
             accepted += cw_metropolis(x, st, (const int64_t *)sites, normals, uniforms, n,
                                       scale, inv_two_sigma_sq);
-            if (d > 0.0) {
-                cw_translate(bitgen, x, n, st, d, inv_two_sigma_sq);
+            for (int64_t j = 0; d > 0.0 && j < moves; j++) {
+                *translated += cw_translate(bitgen, x, n, st, d, inv_two_sigma_sq);
             }
             s_out[i] = st[0];
             t_out[i] = st[1];

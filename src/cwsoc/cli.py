@@ -11,8 +11,9 @@ merged in chain-id order, so outputs are byte-reproducible.
 compiled sweep kernel releases the GIL); Ctrl-C stops it at once.  Its chains
 take single-site steps only, so its samples.csv bytes are those of every
 earlier release.  ``convergence`` runs one chain per n, one after another, and
-ends every sweep with a translation move of scale TRANSLATE_SCALE, recorded in
-the manifest as the sampler's ``translate_scale``.
+ends every sweep with samplers.TRANSLATE_MOVES translation moves of scale
+TRANSLATE_SCALE, recorded in the manifest as the sampler's ``translate_moves``
+and ``translate_scale``.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ import numpy as np
 from . import __version__
 from .limit_law import QuarticLaw
 from .model import DomainError, ModelParams
-from .samplers import SampleRecord, SamplerConfig, chain_rng, init_chain, run
+from .samplers import TRANSLATE_MOVES, SampleRecord, SamplerConfig, chain_rng, init_chain, run
 from .verification import SUITE_NAMES, TOLERANCES, ks_statistic, run_suites
 
 SAMPLES_HEADER = "chain,sweep,s,t,s_scaled,t_scaled"
 CONVERGENCE_HEADER = "n,ks,mean_t_scaled,sd_t_scaled,samples"
 HISTOGRAM_HEADER = "bin_left,bin_right,density_empirical,density_limit"
 
-# convergence's translation scale c, in d = c * sigma * n^(-1/4): it takes the
-# integrated autocorrelation time of s from 16-66 sweeps to 3.5-4.6 at n = 16..256.
+# convergence's translation scale c, in d = c * sigma * n^(-1/4): with
+# TRANSLATE_MOVES moves per sweep it takes the integrated autocorrelation time
+# of s from 16-66 sweeps to about 1.1 at n = 16..256.
 TRANSLATE_SCALE = 1.5
 
 
@@ -131,6 +133,8 @@ def _write_manifest(
 ) -> None:
     """manifest.json of a sampling command; `command` holds its name and own flags."""
     sampler = {**asdict(cfg), "sweeps": sweeps}
+    if cfg.translate_scale > 0.0:
+        sampler["translate_moves"] = TRANSLATE_MOVES
     chains_flag = ""
     if chains is not None:
         sampler["chains"] = chains

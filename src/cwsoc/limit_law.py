@@ -11,6 +11,7 @@ integrals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ def normalizer(sigma: float) -> float:
 
 
 _LOG_UNIT_NORMALIZER = math.log(normalizer(1.0))
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def _unit_log_density(z: float) -> float:
@@ -100,12 +102,14 @@ class QuarticLaw:
         return np.where(negative, -magnitude, magnitude)[()]
 
     def even_moment(self, m: int) -> float:
-        """E[X^{2m}] = sigma^{2m} 2^m Gamma((2m+1)/4) / Gamma(1/4)."""
+        """E[X^{2m}] = sigma^{2m} 2^m Gamma((2m+1)/4) / Gamma(1/4); inf past
+        the double range."""
         if not (is_integer(m) and m >= 1):
             raise DomainError(f"m must be a positive integer, got {m!r}")
         m = int(m)
         log_unit = 0.5 * m * math.log(4.0) + gammaln((2 * m + 1) / 4.0) - gammaln(0.25)
-        return math.exp(log_unit + 2 * m * math.log(self.sigma))
+        log_moment = log_unit + 2 * m * math.log(self.sigma)
+        return math.exp(log_moment) if log_moment < _LOG_DBL_MAX else math.inf
 
     def moment(self, k: int) -> float:
         """E[X^k]; exactly 0 for odd k by symmetry."""

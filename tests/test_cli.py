@@ -394,7 +394,7 @@ class TestConvergence:
         )
         assert manifest["sampler"] == {
             "burn_in_sweeps": 20, "proposal_scale": 2.38, "seed": 0, "sweeps": 220, "thin_sweeps": 2,
-            "translate_scale": 1.5,
+            "translate_moves": 8, "translate_scale": 1.5,
         }
         assert manifest["params"] == {"n_list": [8, 16], "sigma": 1.0}
 

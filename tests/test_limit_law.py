@@ -139,6 +139,13 @@ class TestSigmaIsAScale:
             if 2 * m * abs(math.log2(sigma)) < 1000:
                 assert law.even_moment(m) == pytest.approx(sigma ** (2 * m) * unit.even_moment(m), rel=1e-12)
 
+    def test_even_moment_past_the_double_range_is_inf(self):
+        # sigma^4 E[Z^4] = 1e400 is past the double range, 1e200 is not
+        assert QuarticLaw(1e100).even_moment(2) == QuarticLaw(1e100).moment(4) == math.inf
+        assert QuarticLaw(1e50).even_moment(2) == pytest.approx(1e200 * QuarticLaw(1.0).even_moment(2), rel=1e-12)
+        assert QuarticLaw(1.0).even_moment(10**6) == math.inf
+        assert QuarticLaw(1e-300).even_moment(2) == 0.0
+
     @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e100, 1e300])
     def test_extreme_sigma_stays_finite(self, sigma):
         # sigma^4 lies outside the double range

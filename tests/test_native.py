@@ -1,5 +1,6 @@
 """Tests for building, caching and loading the compiled kernels."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -115,11 +116,13 @@ class TestCache:
             # 30 sweeps in one call: the statistics `run` records after sweep 30
             chain = init_chain(params, cfg)
             st, s_out, t_out = np.array([chain.s, chain.t]), np.empty(30), np.empty(30)
+            translated = ctypes.c_int64(-1)
             accepted = lib.cw_sweeps(
                 chain.rng.bit_generator.ctypes.bit_generator.value, chain.x.ctypes.data, 5, st.ctypes.data,
-                30, cfg.proposal_scale, 0.5, 0.0, s_out.ctypes.data, t_out.ctypes.data,
+                30, cfg.proposal_scale, 0.5, 0.0, 1, s_out.ctypes.data, t_out.ctypes.data, ctypes.byref(translated),
             )
             assert 0 < accepted < 150
+            assert translated.value == 0
             assert (s_out[-1], t_out[-1]) == (expected.s, expected.t) == tuple(st)
         (built,) = library_files(cache)  # no temporary files left behind
         assert built.endswith(".so")

@@ -10,6 +10,7 @@ from cwsoc.model import DomainError, ModelParams, sum_stats
 from cwsoc.samplers import (
     IMPORTANCE_BLOCK,
     RESYNC_EVERY_SWEEPS,
+    TRANSLATE_MOVES,
     ChainState,
     ImportanceResult,
     SampleRecord,
@@ -286,10 +287,10 @@ def oracle_run(chain, sweeps, translations=None):
 
     Draws per sweep with the Generator API (n sites, n proposal normals, n
     acceptance uniforms), steps with oracle_step, then, when translate_scale
-    is positive, draws standard_normal(1) and random(1) for oracle_translate
-    and appends its outcome to `translations` if given.  Resyncs the cached
-    (s, t) at multiples of RESYNC_EVERY_SWEEPS and records by the documented
-    burn-in/thinning schedule.
+    is positive, TRANSLATE_MOVES times draws standard_normal(1) and random(1)
+    for oracle_translate and appends its outcome to `translations` if given.
+    Resyncs the cached (s, t) at multiples of RESYNC_EVERY_SWEEPS and records
+    by the documented burn-in/thinning schedule.
     """
     cfg, rng = chain.cfg, chain.rng
     n = chain.params.n
@@ -300,7 +301,7 @@ def oracle_run(chain, sweeps, translations=None):
         uniforms = rng.random(n).tolist()
         for k, z, u in zip(sites, normals, uniforms):
             oracle_step(chain, k, z, u)
-        if cfg.translate_scale > 0.0:
+        for _ in range(TRANSLATE_MOVES if cfg.translate_scale > 0.0 else 0):
             z = rng.standard_normal(1).tolist()[0]
             u = rng.random(1).tolist()[0]
             accepted = oracle_translate(chain, z, u)
@@ -338,6 +339,7 @@ class TestRunMatchesPythonOracle:
         assert repr(records) == repr(oracle_run(reference, 40))
         assert len(records) == 11
         assert_same_chain(compiled, reference)
+        assert compiled.translations_accepted == 0
 
     def test_bit_identical_across_resync_boundary(self):
         sweeps = RESYNC_EVERY_SWEEPS + 3
@@ -360,8 +362,10 @@ class TestRunMatchesPythonOracle:
         assert repr(records) == repr(oracle_run(reference, 40, translations))
         assert len(records) == 11
         assert_same_chain(compiled, reference)
-        # both outcomes of the move occur, and neither is counted as a step
+        # both outcomes of the move occur, each counted as a translation and neither as a step
         assert set(translations) == {True, False}
+        assert compiled.translations_accepted == sum(translations)
+        assert len(translations) == 40 * TRANSLATE_MOVES
         assert compiled.proposed == 40 * n
 
     def test_bit_identical_with_translation_across_resync_boundary(self):
@@ -369,10 +373,13 @@ class TestRunMatchesPythonOracle:
         cfg = SamplerConfig(burn_in_sweeps=RESYNC_EVERY_SWEEPS - 5, thin_sweeps=2, seed=31, translate_scale=1.5)
         params = ModelParams(3, 1.0)
         compiled, reference = init_chain(params, cfg), init_chain(params, cfg)
+        translations = []
         records = run(compiled, sweeps)
-        assert repr(records) == repr(oracle_run(reference, sweeps))
+        assert repr(records) == repr(oracle_run(reference, sweeps, translations))
         assert [r.sweep for r in records] == list(range(RESYNC_EVERY_SWEEPS - 3, sweeps + 1, 2))
         assert_same_chain(compiled, reference)
+        assert compiled.translations_accepted == sum(translations)
+        assert len(translations) == sweeps * TRANSLATE_MOVES
 
     def test_delta_order_decides_a_boundary_step(self):
         # The first (site, normal, uniform) of seed 0's stream at n = 2 is
@@ -464,8 +471,9 @@ class TestStationarityWithTranslation:
     # law T/sigma^2 ~ chi^2_n exactly, independent of C_n = S/sqrt(nT), which has
     # the density of angular_cdf: two laws with no finite-n bias.
     RECORDS, THIN, BURN = 8000, 5, 1000
-    # a conservative ESS: one effective sample per 10 sweeps, about twice the
-    # integrated autocorrelation time of s with the move, at false-alarm 1e-3
+    # a conservative ESS: one effective sample per 10 sweeps, well above the
+    # integrated autocorrelation time of s with the moves (about 1.1 sweeps),
+    # at false-alarm 1e-3
     TAU_BOUND_SWEEPS = 10
 
     @pytest.mark.parametrize("n", [8, 64])
