@@ -13,15 +13,16 @@
  *   cw_gauss_im           integral oracle.
  * The entries QUADPACK calls have scipy.LowLevelCallable's signatures.
  *
- * cw_sweeps runs whole sweeps.  Each sweep draws its n sites, n proposal
- * normals and n acceptance uniforms on the chain's own numpy bit generator
- * through the functions numpy.random.Generator calls for
- * integers(0, n, size=n), standard_normal(n) and random(n), in that order,
- * so the stream is the one the Python API would consume.  With a translation
- * scale d > 0, each sweep then ends with `moves` translations
- * x -> x + delta 1, delta = d z, each drawing its z as standard_normal(1) and
- * then its acceptance uniform as random(1), so the stream runs z1, u1, z2,
- * u2, ...; with d = 0 it draws nothing more.
+ * cw_sweeps runs whole sweeps and allocates nothing: the caller owns the
+ * draw buffers and the outputs.  Each sweep draws its n sites, n proposal
+ * normals and n acceptance uniforms into the caller's buffers on the chain's
+ * own numpy bit generator through the functions numpy.random.Generator calls
+ * for integers(0, n, size=n), standard_normal(n) and random(n), in that
+ * order, so the stream is the one the Python API would consume.  Each sweep
+ * then ends with `moves` translations x -> x + delta 1, delta = d z, each
+ * drawing its z as standard_normal(1) and then its acceptance uniform as
+ * random(1), so the stream runs z1, u1, z2, u2, ...; the caller passes
+ * moves = 0 when the translation scale is 0, and nothing more is drawn.
  *
  * Its static helper cw_metropolis runs one single-site random-walk step per
  * drawn (site, normal, uniform) triple, and cw_translate runs the
@@ -127,38 +128,27 @@ static bool cw_translate(bitgen_t *bitgen, double *x, int64_t n, double *st, dou
 }
 
 /* Runs `sweeps` sweeps of n steps each, each followed by `moves`
- * translations of scale d when d > 0, writing the cached (s, t) after sweep
- * i to s_out[i] and t_out[i] and the number of accepted translations to
- * *translated; returns the number of accepted single-site proposals, or -1
- * when the draw buffers cannot be allocated. */
-int64_t cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double *st, int64_t sweeps, double scale,
-                  double inv_two_sigma_sq, double d, int64_t moves, double *s_out, double *t_out,
-                  int64_t *translated)
+ * translations of scale d, starting from the statistics (s, t) of x.  The
+ * draws of a sweep go to the caller's buffers sites, normals and uniforms of
+ * n entries each.  Writes the cached (s, t) after sweep i to s_out[i] and
+ * t_out[i], and adds the accepted single-site proposals to counts[0] and the
+ * accepted translations to counts[1]. */
+void cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double s, double t, int64_t sweeps, double scale,
+               double inv_two_sigma_sq, double d, int64_t moves, uint64_t *sites, double *normals,
+               double *uniforms, double *s_out, double *t_out, int64_t *counts)
 {
-    uint64_t *sites = malloc((size_t)n * sizeof *sites);
-    double *normals = malloc((size_t)n * sizeof *normals);
-    double *uniforms = malloc((size_t)n * sizeof *uniforms);
-    int64_t accepted = -1;
-    *translated = 0;
-    if (sites != NULL && normals != NULL && uniforms != NULL) {
-        accepted = 0;
-        for (int64_t i = 0; i < sweeps; i++) {
-            random_bounded_uint64_fill(bitgen, 0, (uint64_t)(n - 1), n, false, sites);
-            random_standard_normal_fill(bitgen, n, normals);
-            random_standard_uniform_fill(bitgen, n, uniforms);
-            accepted += cw_metropolis(x, st, (const int64_t *)sites, normals, uniforms, n,
-                                      scale, inv_two_sigma_sq);
-            for (int64_t j = 0; d > 0.0 && j < moves; j++) {
-                *translated += cw_translate(bitgen, x, n, st, d, inv_two_sigma_sq);
-            }
-            s_out[i] = st[0];
-            t_out[i] = st[1];
+    double st[2] = {s, t};
+    for (int64_t i = 0; i < sweeps; i++) {
+        random_bounded_uint64_fill(bitgen, 0, (uint64_t)(n - 1), n, false, sites);
+        random_standard_normal_fill(bitgen, n, normals);
+        random_standard_uniform_fill(bitgen, n, uniforms);
+        counts[0] += cw_metropolis(x, st, (const int64_t *)sites, normals, uniforms, n, scale, inv_two_sigma_sq);
+        for (int64_t j = 0; j < moves; j++) {
+            counts[1] += cw_translate(bitgen, x, n, st, d, inv_two_sigma_sq);
         }
+        s_out[i] = st[0];
+        t_out[i] = st[1];
     }
-    free(sites);
-    free(normals);
-    free(uniforms);
-    return accepted;
 }
 
 /* A complex number laid out as numpy's complex128: real part, then imaginary. */

@@ -85,8 +85,8 @@ def kernel() -> ctypes.CDLL:
             _build(path)
         lib = ctypes.CDLL(str(path))
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        lib.cw_sweeps.argtypes = [ptr, ptr, i64, ptr, i64, f64, f64, f64, i64, ptr, ptr, ctypes.POINTER(i64)]
-        lib.cw_sweeps.restype = i64
+        lib.cw_sweeps.argtypes = [ptr, ptr, i64, f64, f64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+        lib.cw_sweeps.restype = None
         lib.cw_char_fn.argtypes = [ptr, i64, f64, i64, ptr]
         lib.cw_char_fn.restype = None
         lib.cw_inner_cos.argtypes = [ptr, f64, f64, i64, ptr]

@@ -2,10 +2,10 @@
 
 sigma is a pure scale: each quantity is computed in z = x/sigma under the
 unit law and scaled once.  The CDF is 1/2 +- P(1/4, z^4/4)/2 with P the
-regularized lower incomplete gamma, so the CDF and the quantile are closed
-forms in ``scipy.special`` and accept arrays.  The test suite checks the
-gamma functions used here against adaptive quadrature of the defining
-integrals.
+regularized lower incomplete gamma (its far lower tail Q(1/4, z^4/4)/2, Q the
+upper one), so the CDF and the quantile are closed forms in ``scipy.special``
+and accept arrays.  The test suite checks the gamma functions used here
+against adaptive quadrature of the defining integrals.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, gammainc, gammaincinv, gammaln
+from scipy.special import gamma, gammainc, gammaincc, gammaincinv, gammaln
 
 from .model import DomainError, is_integer, positive_real
 
@@ -64,19 +64,30 @@ class QuarticLaw:
         return math.exp(_unit_log_density(x / self.sigma)) / self.sigma
 
     def cdf(self, x):
-        """Exact CDF 1/2 +- P(1/4, z^4/4)/2, z = x/sigma; elementwise on arrays."""
+        """Exact CDF 1/2 +- P(1/4, z^4/4)/2, z = x/sigma; elementwise on arrays.
+
+        Where z < 0 and z^4/4 > 2 the lower tail is Q(1/4, z^4/4)/2 instead,
+        with Q = 1 - P the regularized upper incomplete gamma: 1/2 - P/2 would
+        lose the tail to cancellation (0 at z = -4 against 9.7e-31).
+        """
         x = np.asarray(x, dtype=float)
         z = x / self.sigma
         with np.errstate(over="ignore"):  # an infinite z^4 gives P = 1
             z_sq = z * z
-            p_half = 0.5 * gammainc(0.25, z_sq * z_sq / 4.0)
-        return np.where(x >= 0.0, 0.5 + p_half, 0.5 - p_half)[()]
+            w = z_sq * z_sq / 4.0
+            p_half = 0.5 * gammainc(0.25, w)
+        cdf = np.where(x >= 0.0, 0.5 + p_half, 0.5 - p_half)
+        tail = (z < 0.0) & (w > 2.0)
+        cdf[tail] = 0.5 * gammaincc(0.25, w[tail])
+        return cdf[()]
 
     def quantile(self, p):
         """Inverse CDF +-sigma (4 P^{-1}(1/4, |2p - 1|))^{1/4}; elementwise on arrays.
 
         The upper-half probability max(p, 1 - p) is what gets inverted, so
-        quantile(1 - p) == -quantile(p) holds exactly.
+        quantile(1 - p) == -quantile(p) holds exactly.  The price is the far
+        tails: 1 - p rounds to 1 for p below about 1.1e-16, whose quantile is
+        then -inf (and +inf for p that close to 1).
         """
         # Here and in cdf, products and square roots stand in for numpy's
         # power, which can round differently on arrays than on scalars.

@@ -6,7 +6,8 @@ Two independent routes at the statistics level:
   incremental updates of (s, t), targeting the tilted measure exactly.  The
   kernel is compiled C (``_kernel.c``, built and cached by ``_native`` on
   first use): ``run`` hands it each stretch of sweeps up to the next resync
-  in one call, draws included;
+  in one call, draws included, with the draw buffers, the per-sweep (s, t)
+  outputs and the accepted counts that ``run`` allocates once per call;
 * exact iid draws of (s, t) from the untilted product law, reweighted by
   exp(s^2/(2t)) in a self-normalized importance-sampling estimator.
 
@@ -27,7 +28,6 @@ normal and then one uniform per move, as ``standard_normal(1)`` and
 
 from __future__ import annotations
 
-import ctypes
 import math
 import warnings
 from dataclasses import dataclass
@@ -170,11 +170,12 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     cfg.translate_scale is positive, the sweep ends with TRANSLATE_MOVES
     translations of every spin by delta = d*z, d = translate_scale * sigma *
     n^(-1/4), each drawing one normal z and then one uniform after the three
-    blocks and accepted by the single-site rule.  chain.accepted and
-    chain.proposed count the single-site steps only, and
-    chain.translations_accepted the accepted translations.  Cached (s, t) are
-    recomputed from the configuration whenever the chain's sweep count reaches
-    a multiple of RESYNC_EVERY_SWEEPS.
+    blocks and accepted by the single-site rule; with translate_scale 0 the
+    kernel is passed 0 moves.  chain.accepted and chain.proposed count the
+    single-site steps only, and chain.translations_accepted the accepted
+    translations; all three are updated when the call returns.  Cached (s, t)
+    are recomputed from the configuration whenever the chain's sweep count
+    reaches a multiple of RESYNC_EVERY_SWEEPS.
 
     Sweep i (1-based, counted from the start of this call) is recorded when
     i > burn_in_sweeps and (i - burn_in_sweeps) is a multiple of thin_sweeps.
@@ -204,26 +205,22 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     lib = kernel()
     bit_generator = chain.rng.bit_generator
     bitgen = bit_generator.ctypes.bit_generator.value
-    st = np.empty(2)
-    translated = ctypes.c_int64()
+    moves = TRANSLATE_MOVES if translate > 0.0 else 0
+    sites, normals, uniforms = np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n)
+    counts = np.zeros(2, dtype=np.int64)
     s_out = np.empty(min(sweeps, RESYNC_EVERY_SWEEPS))
     t_out = np.empty_like(s_out)
     done = 0
     while done < sweeps:
         # one stretch runs up to the chain's next resync boundary
         stretch = min(sweeps - done, RESYNC_EVERY_SWEEPS - chain.sweeps_done % RESYNC_EVERY_SWEEPS)
-        st[:] = chain.s, chain.t
         with bit_generator.lock:
-            accepted = lib.cw_sweeps(
-                bitgen, x.ctypes.data, n, st.ctypes.data, stretch, scale, inv_two_sigma_sq, translate,
-                TRANSLATE_MOVES, s_out.ctypes.data, t_out.ctypes.data, ctypes.byref(translated),
+            lib.cw_sweeps(
+                bitgen, x.ctypes.data, n, chain.s, chain.t, stretch, scale, inv_two_sigma_sq, translate, moves,
+                sites.ctypes.data, normals.ctypes.data, uniforms.ctypes.data, s_out.ctypes.data,
+                t_out.ctypes.data, counts.ctypes.data,
             )
-        if accepted < 0:
-            raise MemoryError("cannot allocate the per-sweep draw buffers")
-        chain.s, chain.t = st.tolist()
-        chain.accepted += accepted
-        chain.proposed += stretch * n
-        chain.translations_accepted += translated.value
+        chain.s, chain.t = float(s_out[stretch - 1]), float(t_out[stretch - 1])
         chain.sweeps_done += stretch
         if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
             chain.resync_stats()
@@ -245,6 +242,9 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
                 )
             )
         done += stretch
+    chain.accepted += int(counts[0])
+    chain.proposed += int(sweeps) * n
+    chain.translations_accepted += int(counts[1])
     return records
 
 

@@ -168,7 +168,10 @@ def _untilted_normalizer(n) -> tuple[int, float, float]:
 def density_closed_form(x: float, y: float, n: int) -> float:
     """Density of the n-fold untilted (s, t) law at sigma = 1; zero outside support.
     Computed by cw_density of the compiled kernel (``_kernel.c``), which takes
-    _untilted_normalizer(n) as its data."""
+    _untilted_normalizer(n) as its data.  A non-finite x or y raises
+    DomainError, as the model's density and the inversion do."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"the closed-form density needs finite (x, y), got ({x!r}, {y!r})")
     data = (ctypes.c_double * 3)(*_untilted_normalizer(n))
     return kernel().cw_density(2, (ctypes.c_double * 2)(y, x), data)
 

@@ -201,6 +201,13 @@ class TestQuarticLawCdf:
             oracle, _ = quad(law.density, -15.0, float(x), epsabs=1e-11, limit=300)
             assert law.cdf(float(x)) == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("x", [-2.0, -2.5, -3.0, -3.5, -4.0, -4.5, -5.0])
+    def test_lower_tail_to_relative_precision(self, x):
+        # 1/2 - P/2 cancels here: it gave 0 at x = -4
+        unit = QuarticLaw(1.0)
+        oracle, _ = quad(unit.density, -np.inf, x, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert unit.cdf(x) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
     def test_monotone(self):
         law = QuarticLaw(0.8)
         xs = np.linspace(-4.0, 4.0, 400)

@@ -1,7 +1,7 @@
 """Tests for building, caching and loading the compiled kernels."""
 
-import ctypes
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -115,15 +115,16 @@ class TestCache:
         for lib in libs:
             # 30 sweeps in one call: the statistics `run` records after sweep 30
             chain = init_chain(params, cfg)
-            st, s_out, t_out = np.array([chain.s, chain.t]), np.empty(30), np.empty(30)
-            translated = ctypes.c_int64(-1)
-            accepted = lib.cw_sweeps(
-                chain.rng.bit_generator.ctypes.bit_generator.value, chain.x.ctypes.data, 5, st.ctypes.data,
-                30, cfg.proposal_scale, 0.5, 0.0, 1, s_out.ctypes.data, t_out.ctypes.data, ctypes.byref(translated),
+            sites, normals, uniforms = np.empty(5, dtype=np.uint64), np.empty(5), np.empty(5)
+            s_out, t_out, counts = np.empty(30), np.empty(30), np.zeros(2, dtype=np.int64)
+            lib.cw_sweeps(
+                chain.rng.bit_generator.ctypes.bit_generator.value, chain.x.ctypes.data, 5, chain.s, chain.t,
+                30, cfg.proposal_scale, 0.5, 0.0, 0, sites.ctypes.data, normals.ctypes.data,
+                uniforms.ctypes.data, s_out.ctypes.data, t_out.ctypes.data, counts.ctypes.data,
             )
-            assert 0 < accepted < 150
-            assert translated.value == 0
-            assert (s_out[-1], t_out[-1]) == (expected.s, expected.t) == tuple(st)
+            assert 0 < counts[0] < 150
+            assert counts[1] == 0
+            assert (s_out[-1], t_out[-1]) == (expected.s, expected.t)
         (built,) = library_files(cache)  # no temporary files left behind
         assert built.endswith(".so")
 
@@ -136,6 +137,33 @@ class TestCache:
         samples = tmp_path / "samples.csv"
         samples.write_text("chain,sweep,s,t,s_scaled,t_scaled\n0,1,0.5,4.0,0.1,1.0\n0,2,-0.5,4.5,-0.1,1.1\n")
         finish(python("-c", RUN_WITHOUT_KERNEL, str(tmp_path / "out"), str(samples)))
+
+
+# An exported definition in _kernel.c: return type, name and parameter list.
+EXPORTED = re.compile(r"^(?!static\b)(\w[\w ]*?)\s*(\**)\s*(cw_\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
+
+
+def exported_definitions():
+    """(name, parameter count, returns void) of every non-static cw_* function."""
+    found = []
+    for ret, stars, name, params in EXPORTED.findall(_native.SOURCE.read_text()):
+        count = len([p for p in params.split(",") if p.strip() not in ("", "void")])
+        found.append((name, count, ret == "void" and not stars))
+    return found
+
+
+class TestSignatures:
+    # ctypes passes whatever a stale declaration says without complaint
+    def test_exported_definitions_are_found(self):
+        names = [name for name, _, _ in exported_definitions()]
+        assert "cw_sweeps" in names and "cw_density" in names
+        assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("name, count, void", exported_definitions())
+    def test_kernel_declares_each_export_as_defined(self, name, count, void):
+        function = getattr(_native.kernel(), name)
+        assert function.argtypes is not None and len(function.argtypes) == count
+        assert (function.restype is None) == void
 
 
 class TestBuildFailure:

@@ -262,6 +262,15 @@ class TestClosedFormDensity:
         with pytest.raises(UnsupportedOrderError):
             density_closed_form(0.0, 4.0, 4)
 
+    # the model's density and the inversion reject these too; the kernel alone
+    # would return nan for nan or y = +inf, and 0 for an infinite x
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_non_finite_point_rejected(self, bad, where):
+        x, y = (bad, 5.0) if where == "x" else (0.0, bad)
+        with pytest.raises(DomainError, match="finite"):
+            density_closed_form(x, y, 6)
+
     @pytest.mark.parametrize("n", [5, 6, 8, 13, 64, 1000])
     def test_compiled_density_keeps_the_python_bits(self, n):
         edge = math.sqrt(n * 2.0)  # x^2 = n y at y = 2
