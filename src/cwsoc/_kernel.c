@@ -1,5 +1,9 @@
 /* The compiled kernels of cwsoc.  They export these entries:
- *   cw_sweeps             the Metropolis sweeps of cwsoc.samplers;
+ *   cw_draw, cw_walk and  the Metropolis sweeps of cwsoc.samplers: the draws
+ *   cw_sweeps             of a block of sweeps, the walk over them, and
+ *                         the two fused sweep by sweep;
+ *   cw_current_cpu        the calling thread's CPU, which samplers keeps its
+ *                         helper thread off;
  *   cw_char_fn            Phi_n(u, v), verification.char_fn;
  *   cw_inner_cos          the inner u-rule of the Fourier inversion,
  *                         verification._inner_cos_integral;
@@ -13,19 +17,23 @@
  *   cw_gauss_im           integral oracle.
  * The entries QUADPACK calls have scipy.LowLevelCallable's signatures.
  *
- * cw_sweeps runs whole sweeps and allocates nothing: the caller owns the
- * draw buffers and the outputs.  Each sweep draws its n sites, n proposal
- * normals and n acceptance uniforms into the caller's buffers on the chain's
- * own numpy bit generator through the functions numpy.random.Generator calls
- * for integers(0, n, size=n), standard_normal(n) and random(n), in that
- * order, so the stream is the one the Python API would consume.  Each sweep
- * then ends with `moves` translations x -> x + delta 1, delta = d z, each
- * drawing its z as standard_normal(1) and then its acceptance uniform as
- * random(1), so the stream runs z1, u1, z2, u2, ...; the caller passes
- * moves = 0 when the translation scale is 0, and nothing more is drawn.
+ * The sweep entries allocate nothing: the caller owns the draw buffers and
+ * the outputs.  cw_draw draws the random numbers of a block of sweeps on the
+ * chain's own numpy bit generator, through the functions
+ * numpy.random.Generator calls, so the stream is the one the Python API
+ * would consume: per sweep n sites, n proposal normals and n acceptance
+ * uniforms as integers(0, n, size=n), standard_normal(n) and random(n) give
+ * them, in that order, and then, for each of the sweep's `moves`
+ * translations x -> x + delta 1, delta = d z, its z as standard_normal(1)
+ * and its acceptance uniform as random(1), so the stream runs z1, u1, z2,
+ * u2, ...; the caller passes moves = 0 when the translation scale is 0, and
+ * nothing more is drawn.  cw_walk runs the sweeps on those draws; it touches
+ * no bit generator, so one thread can walk a block while another draws the
+ * next.  cw_sweeps calls cw_draw and then cw_walk for one sweep at a time,
+ * so one thread draws and walks with the draws still in cache.
  *
- * Its static helper cw_metropolis runs one single-site random-walk step per
- * drawn (site, normal, uniform) triple, and cw_translate runs the
+ * cw_walk's static helper cw_metropolis runs one single-site random-walk
+ * step per drawn (site, normal, uniform) triple, and cw_translate runs the
  * translation.  Their floating-point operations are those of the reference
  * loop in the tests, in the same order, and cw_accept calls the C library's
  * exp as math.exp does; built without FMA contraction or -ffast-math, they
@@ -42,8 +50,11 @@
  * exact conjugate results.
  */
 
+#define _GNU_SOURCE /* sched_getcpu */
+
 #include <complex.h>
 #include <float.h>
+#include <sched.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -76,14 +87,14 @@ static bool cw_accept(double s, double t, double s_new, double t_new, double u, 
 
 /* Steps x and the cached st = {s, t} through m proposals; returns the number
  * accepted. */
-static int64_t cw_metropolis(double *x, double *st, const int64_t *sites, const double *normals,
+static int64_t cw_metropolis(double *x, double *st, const uint64_t *sites, const double *normals,
                              const double *uniforms, int64_t m, double scale, double inv_two_sigma_sq)
 {
     double s = st[0];
     double t = st[1];
     int64_t accepted = 0;
     for (int64_t i = 0; i < m; i++) {
-        int64_t k = sites[i];
+        uint64_t k = sites[i];
         double old = x[k];
         double new = old + scale * normals[i];
         double s_new = s - old + new;
@@ -100,17 +111,13 @@ static int64_t cw_metropolis(double *x, double *st, const int64_t *sites, const 
     return accepted;
 }
 
-/* One translation of all n spins by delta = d z, z and u drawn here: it
+/* One translation of all n spins by delta = d z, accepted by uniform u: it
  * leaves t - s^2/n unchanged and moves s by n delta, so (s, t) is updated in
  * O(1) and the n spins only when it is accepted.  The move is symmetric and
  * preserves volume, so it is accepted by the single-site steps' rule.
  * Returns whether it was accepted. */
-static bool cw_translate(bitgen_t *bitgen, double *x, int64_t n, double *st, double d, double inv_two_sigma_sq)
+static bool cw_translate(double *x, int64_t n, double *st, double d, double z, double u, double inv_two_sigma_sq)
 {
-    double z;
-    double u;
-    random_standard_normal_fill(bitgen, 1, &z);
-    random_standard_uniform_fill(bitgen, 1, &u);
     double delta = d * z;
     double s = st[0];
     double t = st[1];
@@ -127,28 +134,72 @@ static bool cw_translate(bitgen_t *bitgen, double *x, int64_t n, double *st, dou
     return false;
 }
 
-/* Runs `sweeps` sweeps of n steps each, each followed by `moves`
- * translations of scale d, starting from the statistics (s, t) of x.  The
- * draws of a sweep go to the caller's buffers sites, normals and uniforms of
- * n entries each.  Writes the cached (s, t) after sweep i to s_out[i] and
- * t_out[i], and adds the accepted single-site proposals to counts[0] and the
- * accepted translations to counts[1]. */
-void cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double s, double t, int64_t sweeps, double scale,
-               double inv_two_sigma_sq, double d, int64_t moves, uint64_t *sites, double *normals,
-               double *uniforms, double *s_out, double *t_out, int64_t *counts)
+/* Draws the random numbers of `sweeps` sweeps of n steps and `moves`
+ * translations each, in stream order.  Sweep i draws its n sites to
+ * sites[i n ..], its n proposal normals to normals[i n ..] and its n
+ * acceptance uniforms to uniforms[i n ..], and then, move by move, the
+ * translation's normal z to zu[2 (i moves + j)] and its uniform u to the
+ * entry after it. */
+void cw_draw(bitgen_t *bitgen, int64_t n, int64_t sweeps, int64_t moves, uint64_t *sites, double *normals,
+             double *uniforms, double *zu)
+{
+    for (int64_t i = 0; i < sweeps; i++) {
+        random_bounded_uint64_fill(bitgen, 0, (uint64_t)(n - 1), n, false, sites + i * n);
+        random_standard_normal_fill(bitgen, n, normals + i * n);
+        random_standard_uniform_fill(bitgen, n, uniforms + i * n);
+        for (int64_t j = 2 * i * moves; j < 2 * (i + 1) * moves; j += 2) {
+            random_standard_normal_fill(bitgen, 1, zu + j);
+            random_standard_uniform_fill(bitgen, 1, zu + j + 1);
+        }
+    }
+}
+
+/* Walks `sweeps` sweeps on the draws cw_draw laid out in the same buffers:
+ * each sweep's n single-site steps of scale `scale`, then its `moves`
+ * translations of scale d, starting from the statistics (s, t) of x.  Writes
+ * the cached (s, t) after sweep i to s_out[i] and t_out[i], and adds the
+ * accepted single-site proposals to counts[0] and the accepted translations
+ * to counts[1]. */
+void cw_walk(double *x, int64_t n, double s, double t, int64_t sweeps, double scale, double inv_two_sigma_sq,
+             double d, int64_t moves, const uint64_t *sites, const double *normals, const double *uniforms,
+             const double *zu, double *s_out, double *t_out, int64_t *counts)
 {
     double st[2] = {s, t};
     for (int64_t i = 0; i < sweeps; i++) {
-        random_bounded_uint64_fill(bitgen, 0, (uint64_t)(n - 1), n, false, sites);
-        random_standard_normal_fill(bitgen, n, normals);
-        random_standard_uniform_fill(bitgen, n, uniforms);
-        counts[0] += cw_metropolis(x, st, (const int64_t *)sites, normals, uniforms, n, scale, inv_two_sigma_sq);
-        for (int64_t j = 0; j < moves; j++) {
-            counts[1] += cw_translate(bitgen, x, n, st, d, inv_two_sigma_sq);
+        counts[0] += cw_metropolis(x, st, sites + i * n, normals + i * n, uniforms + i * n, n, scale,
+                                   inv_two_sigma_sq);
+        for (int64_t j = 2 * i * moves; j < 2 * (i + 1) * moves; j += 2) {
+            counts[1] += cw_translate(x, n, st, d, zu[j], zu[j + 1], inv_two_sigma_sq);
         }
         s_out[i] = st[0];
         t_out[i] = st[1];
     }
+}
+
+/* cw_draw and cw_walk one sweep at a time, on the caller's buffers for the
+ * draws of one sweep: n entries each in sites, normals and uniforms, and
+ * 2 moves in zu. */
+void cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double s, double t, int64_t sweeps, double scale,
+               double inv_two_sigma_sq, double d, int64_t moves, uint64_t *sites, double *normals,
+               double *uniforms, double *zu, double *s_out, double *t_out, int64_t *counts)
+{
+    for (int64_t i = 0; i < sweeps; i++) {
+        cw_draw(bitgen, n, 1, moves, sites, normals, uniforms, zu);
+        cw_walk(x, n, s, t, 1, scale, inv_two_sigma_sq, d, moves, sites, normals, uniforms, zu, s_out + i,
+                t_out + i, counts);
+        s = s_out[i];
+        t = t_out[i];
+    }
+}
+
+/* The CPU the calling thread runs on, or -1 where that cannot be told. */
+int64_t cw_current_cpu(void)
+{
+#ifdef __linux__
+    return sched_getcpu();
+#else
+    return -1;
+#endif
 }
 
 /* A complex number laid out as numpy's complex128: real part, then imaginary. */

@@ -1,5 +1,6 @@
 """Builds and loads the compiled kernels (``_kernel.c``) on first use: the
-Metropolis sweeps of ``samplers``, and ``verification``'s characteristic
+Metropolis sweeps of ``samplers`` and the CPU query of its draw-ahead
+thread, and ``verification``'s characteristic
 function, the inner u-rule of its Fourier inversion and the integrands that
 QUADPACK calls through ``scipy.LowLevelCallable``: the inversion's outer
 integrand, the closed-form (s, t) density (``cw_density``, which
@@ -85,8 +86,13 @@ def kernel() -> ctypes.CDLL:
             _build(path)
         lib = ctypes.CDLL(str(path))
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        lib.cw_sweeps.argtypes = [ptr, ptr, i64, f64, f64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
-        lib.cw_sweeps.restype = None
+        lib.cw_draw.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, ptr]
+        lib.cw_walk.argtypes = [ptr, i64, f64, f64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+        lib.cw_sweeps.argtypes = [ptr, *lib.cw_walk.argtypes]  # the bit generator, then cw_walk's
+        for name in ("cw_draw", "cw_walk", "cw_sweeps"):
+            getattr(lib, name).restype = None
+        lib.cw_current_cpu.argtypes = []
+        lib.cw_current_cpu.restype = i64
         lib.cw_char_fn.argtypes = [ptr, i64, f64, i64, ptr]
         lib.cw_char_fn.restype = None
         lib.cw_inner_cos.argtypes = [ptr, f64, f64, i64, ptr]

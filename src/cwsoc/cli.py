@@ -7,13 +7,17 @@ default additionally honors the ``CWSOC_SEED`` environment variable.  Floats
 are serialized with their shortest round-trip representation, and chains are
 merged in chain-id order, so outputs are byte-reproducible.
 
-``simulate`` runs its chains side by side on threads of one process (the
-compiled sweep kernel releases the GIL); Ctrl-C stops it at once.  Its chains
-take single-site steps only, so its samples.csv bytes are those of every
-earlier release.  ``convergence`` runs one chain per n, one after another, and
-ends every sweep with samplers.TRANSLATE_MOVES translation moves of scale
-TRANSLATE_SCALE, recorded in the manifest as the sampler's ``translate_moves``
-and ``translate_scale``.
+``simulate`` runs its chains side by side on up to one thread per usable CPU
+of one process (the compiled sweep kernel releases the GIL); Ctrl-C stops it
+at once.  Its chains take single-site steps only, so its samples.csv bytes are
+those of every earlier release.  ``convergence`` runs one chain per n, one
+after another on the calling thread, and ends every sweep with
+samplers.TRANSLATE_MOVES translation moves of scale TRANSLATE_SCALE, recorded
+in the manifest as the sampler's ``translate_moves`` and ``translate_scale``;
+Ctrl-C stops it at once too.  Where a CPU is left spare, as one is by
+``convergence`` or by fewer ``simulate`` chains than CPUs, ``samplers.run``
+has a helper thread draw each chain's random numbers ahead of its walk; the
+draws and so every output byte are the same on one CPU or many.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from . import __version__
 from .limit_law import QuarticLaw
 from .model import DomainError, ModelParams
-from .samplers import TRANSLATE_MOVES, SampleRecord, SamplerConfig, chain_rng, init_chain, run
+from .samplers import TRANSLATE_MOVES, SampleRecord, SamplerConfig, chain_rng, init_chain, run, usable_cpus
 from .verification import SUITE_NAMES, TOLERANCES, ks_statistic, run_suites
 
 SAMPLES_HEADER = "chain,sweep,s,t,s_scaled,t_scaled"
@@ -155,8 +159,8 @@ def _write_manifest(
 
 def _run_chains(params: ModelParams, cfg: SamplerConfig, chains: int, sweeps: int) -> list[list[SampleRecord]]:
     """Records of chains 0..chains-1 in chain-id order, run on up to one thread
-    per CPU (the kernel releases the GIL).  The threads are daemons, so Ctrl-C
-    ends the process without waiting for the chains."""
+    per CPU the process may use (the kernel releases the GIL).  The threads
+    are daemons, so Ctrl-C ends the process without waiting for the chains."""
     results: list = [None] * chains
     errors: list[BaseException] = []
     chain_ids = iter(range(chains))
@@ -168,7 +172,7 @@ def _run_chains(params: ModelParams, cfg: SamplerConfig, chains: int, sweeps: in
         except BaseException as exc:  # noqa: BLE001 - re-raised in the calling thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(min(chains, os.cpu_count() or 1))]
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(min(chains, usable_cpus()))]
     for thread in threads:
         thread.start()
     for thread in threads:

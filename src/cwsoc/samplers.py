@@ -5,9 +5,15 @@ Two independent routes at the statistics level:
 * single-site random-walk Metropolis on the full configuration, with O(1)
   incremental updates of (s, t), targeting the tilted measure exactly.  The
   kernel is compiled C (``_kernel.c``, built and cached by ``_native`` on
-  first use): ``run`` hands it each stretch of sweeps up to the next resync
-  in one call, draws included, with the draw buffers, the per-sweep (s, t)
-  outputs and the accepted counts that ``run`` allocates once per call;
+  first use), and ``run`` allocates its draw buffers, per-sweep (s, t)
+  outputs and accepted counts once per call.  Who draws depends on the CPUs:
+  when the process has a spare one (fewer busy sampler threads, chain threads
+  inside ``run`` and drawing helpers, than ``usable_cpus()``), a helper
+  thread draws the chain's next block of about DRAW_AHEAD_PROPOSALS proposals
+  (``cw_draw``) while the chain's thread walks the current one
+  (``cw_walk``); otherwise the chain's thread hands the kernel each stretch
+  of sweeps up to the next resync in one call (``cw_sweeps``), which draws
+  and walks sweep by sweep;
 * exact iid draws of (s, t) from the untilted product law, reweighted by
   exp(s^2/(2t)) in a self-normalized importance-sampling estimator.
 
@@ -24,14 +30,19 @@ TRANSLATE_MOVES translation moves, whose draws follow the three blocks: one
 normal and then one uniform per move, as ``standard_normal(1)`` and
 ``random(1)`` give them, in the order z1, u1, z2, u2, ....  With
 ``translate_scale`` 0 nothing more is drawn, so the stream is unchanged.
+A helper draws the same numbers in the same order, holding the bit
+generator's lock, so the stream, every output and the generator's state
+after ``run`` are the same whoever draws.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +57,7 @@ __all__ = [
     "chain_rng",
     "init_chain",
     "run",
+    "usable_cpus",
     "sample_nu_star",
     "importance_estimate",
     "batch_means_stderr",
@@ -54,6 +66,8 @@ __all__ = [
 # Cached (s, t) are recomputed from the configuration this often, which keeps
 # incremental rounding drift far below test tolerances.
 RESYNC_EVERY_SWEEPS = 10_000
+# proposals per block that a helper thread draws ahead of the chain's walk
+DRAW_AHEAD_PROPOSALS = 2**15
 
 MIN_IMPORTANCE_DRAWS = 100
 MIN_RELIABLE_ESS = 50.0
@@ -162,6 +176,148 @@ def init_chain(params: ModelParams, cfg: SamplerConfig, chain_id: int = 0) -> Ch
     return ChainState(x=x, s=s, t=t, params=params, cfg=cfg, rng=rng, chain_id=int(chain_id))
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _SamplerThreads:
+    """The process's busy sampler threads: chain threads inside run and
+    helpers that are drawing."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._busy = 0
+
+    def enter(self, spare_only: bool = False) -> bool:
+        """Counts one more busy thread and returns True; with spare_only, only
+        when fewer than usable_cpus() are busy."""
+        with self._lock:
+            if spare_only and self._busy >= usable_cpus():
+                return False
+            self._busy += 1
+            return True
+
+    def leave(self) -> None:
+        with self._lock:
+            self._busy -= 1
+
+    def exceed(self, cpus: int) -> bool:
+        """Whether more than `cpus` threads are busy."""
+        with self._lock:
+            return self._busy > cpus
+
+
+_SAMPLER_THREADS = _SamplerThreads()
+
+
+def _pieces(sweeps_done: int, sweeps: int, most: int) -> Iterator[int]:
+    """Lengths of the consecutive pieces of `sweeps` sweeps from a chain's
+    sweep count sweeps_done: each at most `most` long, and none runs past a
+    multiple of RESYNC_EVERY_SWEEPS."""
+    while sweeps > 0:
+        piece = min(sweeps, most, RESYNC_EVERY_SWEEPS - sweeps_done % RESYNC_EVERY_SWEEPS)
+        yield piece
+        sweeps_done += piece
+        sweeps -= piece
+
+
+class _DrawAhead:
+    """A daemon thread that draws a chain's blocks of sweeps, of the sizes
+    given (at most `most` each), into two buffers in turn while the chain
+    walks the other one.
+
+    start() claims a spare CPU for the thread, which gives the claim back when
+    it ends: once every block is drawn, on close(), or early, before a block,
+    when more sampler threads are busy than the process had CPUs when it
+    started.  The thread runs on every usable CPU but the one the chain's
+    thread ran on at its start: left free, the scheduler would at times stack
+    the two on one CPU, where they run slower than one thread drawing and
+    walking, while another CPU idled."""
+
+    def __init__(self, lib, bit_generator, n: int, moves: int, sizes: Iterator[int], most: int) -> None:
+        self._lib, self._bit_generator = lib, bit_generator
+        self._n, self._moves, self._sizes = n, moves, sizes
+        self._cpus = usable_cpus()
+        self._affinity: set[int] = set()
+        here = lib.cw_current_cpu()
+        if here >= 0 and hasattr(os, "sched_setaffinity"):
+            self._affinity = os.sched_getaffinity(0) - {here}
+        self._buffer_sweeps = [0, 0]
+        self._buffers = [
+            [np.empty(most * n, dtype=np.uint64), np.empty(most * n), np.empty(most * n), np.empty(2 * most * moves)]
+            for _ in range(2)
+        ]
+        self._free = threading.Semaphore(2)  # buffers the thread may fill
+        self._full = threading.Semaphore(0)  # blocks drawn, and one more when the thread ends
+        self._drawn = 0
+        self._walked = 0
+        self._closed = False
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._draw, daemon=True)
+
+    @classmethod
+    def start(cls, lib, bit_generator, n: int, moves: int, sizes: Iterator[int], most: int) -> _DrawAhead | None:
+        """A running helper when a CPU is spare, else None."""
+        if not _SAMPLER_THREADS.enter(spare_only=True):
+            return None
+        try:
+            helper = cls(lib, bit_generator, n, moves, sizes, most)
+            helper._thread.start()
+        except BaseException:
+            _SAMPLER_THREADS.leave()
+            raise
+        return helper
+
+    def _draw(self) -> None:
+        bitgen = self._bit_generator.ctypes.bit_generator.value
+        try:
+            if self._affinity:
+                os.sched_setaffinity(0, self._affinity)  # this thread's only
+            for block, size in enumerate(self._sizes):
+                self._free.acquire()
+                if self._closed or _SAMPLER_THREADS.exceed(self._cpus):
+                    return
+                with self._bit_generator.lock:
+                    self._lib.cw_draw(bitgen, self._n, size, self._moves, *self._pointers(block))
+                self._buffer_sweeps[block % 2] = size
+                self._drawn += 1
+                self._full.release()
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the walking thread
+            self._error = exc
+        finally:
+            _SAMPLER_THREADS.leave()
+            self._full.release()
+
+    def _pointers(self, block: int) -> list[int]:
+        return [buffer.ctypes.data for buffer in self._buffers[block % 2]]
+
+    def next_block(self) -> tuple[int, list[int]]:
+        """Waits for the next block: its sweeps and the addresses of its sites,
+        normals, uniforms and translation draws, valid until done_with().  The
+        sweeps are 0 when the thread ended before drawing it."""
+        self._full.acquire()
+        if self._error is not None:
+            raise self._error
+        if self._walked == self._drawn:
+            return 0, []
+        return self._buffer_sweeps[self._walked % 2], self._pointers(self._walked)
+
+    def done_with(self) -> None:
+        """Hands the walked block's buffer back to the thread."""
+        self._walked += 1
+        self._free.release()
+
+    def close(self) -> None:
+        """Wakes the thread if it waits for a buffer, and joins it."""
+        self._closed = True
+        self._free.release()
+        self._thread.join()
+
+
 def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     """Advance the chain by `sweeps` sweeps, recording thinned post-burn-in stats.
 
@@ -176,6 +332,16 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     translations; all three are updated when the call returns.  Cached (s, t)
     are recomputed from the configuration whenever the chain's sweep count
     reaches a multiple of RESYNC_EVERY_SWEEPS.
+
+    Who draws: when fewer sampler threads of the process are busy than
+    usable_cpus() (a thread inside run counts, and so does a drawing helper)
+    and more than one block is left, a helper thread draws the chain's next
+    block of about DRAW_AHEAD_PROPOSALS proposals while this thread walks the
+    current one; otherwise this thread draws and walks each sweep in turn, up
+    to the next resync, and checks again for a spare CPU there.  The helper makes the same
+    draws on the same bit generator in the same order, holding its lock, and
+    the call returns only after it has ended: records, configuration, counters
+    and the generator's state are the same either way.
 
     Sweep i (1-based, counted from the start of this call) is recorded when
     i > burn_in_sweeps and (i - burn_in_sweeps) is a multiple of thin_sweeps.
@@ -206,42 +372,66 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     bit_generator = chain.rng.bit_generator
     bitgen = bit_generator.ctypes.bit_generator.value
     moves = TRANSLATE_MOVES if translate > 0.0 else 0
-    sites, normals, uniforms = np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n)
+    sweep_draws = [np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n), np.empty(2 * moves)]
     counts = np.zeros(2, dtype=np.int64)
     s_out = np.empty(min(sweeps, RESYNC_EVERY_SWEEPS))
     t_out = np.empty_like(s_out)
-    done = 0
-    while done < sweeps:
-        # one stretch runs up to the chain's next resync boundary
-        stretch = min(sweeps - done, RESYNC_EVERY_SWEEPS - chain.sweeps_done % RESYNC_EVERY_SWEEPS)
-        with bit_generator.lock:
-            lib.cw_sweeps(
-                bitgen, x.ctypes.data, n, chain.s, chain.t, stretch, scale, inv_two_sigma_sq, translate, moves,
-                sites.ctypes.data, normals.ctypes.data, uniforms.ctypes.data, s_out.ctypes.data,
-                t_out.ctypes.data, counts.ctypes.data,
-            )
-        chain.s, chain.t = float(s_out[stretch - 1]), float(t_out[stretch - 1])
-        chain.sweeps_done += stretch
-        if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
-            chain.resync_stats()
-            s_out[stretch - 1], t_out[stretch - 1] = chain.s, chain.t
-        # the first sweep of this stretch recorded: i > burn, (i - burn) % thin == 0
-        first = max(done + 1, burn + thin)
-        first += -(first - burn) % thin
-        if first <= done + stretch:
-            s_rec = s_out[first - done - 1 : stretch : thin]
-            t_rec = t_out[first - done - 1 : stretch : thin]
-            records.extend(
-                map(
-                    SampleRecord,
-                    range(first, done + stretch + 1, thin),
-                    s_rec.tolist(),
-                    t_rec.tolist(),
-                    (s_rec / s_denom).tolist(),
-                    (t_rec / n).tolist(),
+    outputs = (s_out.ctypes.data, t_out.ctypes.data, counts.ctypes.data)
+    # the sweeps of a block a helper draws; with one block or less left there
+    # is nothing to overlap, and no helper starts
+    block = min(max(1, DRAW_AHEAD_PROPOSALS // n), RESYNC_EVERY_SWEEPS)
+    helper: _DrawAhead | None = None
+    _SAMPLER_THREADS.enter()
+    try:
+        done = 0
+        while done < sweeps:
+            if helper is None and sweeps - done > block:
+                sizes = _pieces(chain.sweeps_done, sweeps - done, block)
+                helper = _DrawAhead.start(lib, bit_generator, n, moves, sizes, block)
+            piece, draws = helper.next_block() if helper is not None else (0, [])
+            if piece:
+                lib.cw_walk(
+                    x.ctypes.data, n, chain.s, chain.t, piece, scale, inv_two_sigma_sq, translate, moves,
+                    *draws, *outputs,
                 )
-            )
-        done += stretch
+                helper.done_with()
+            else:
+                if helper is not None:  # it ended early: this thread draws from here on
+                    helper.close()
+                    helper = None
+                # one stretch runs up to the chain's next resync boundary
+                piece = next(_pieces(chain.sweeps_done, sweeps - done, RESYNC_EVERY_SWEEPS))
+                with bit_generator.lock:
+                    lib.cw_sweeps(
+                        bitgen, x.ctypes.data, n, chain.s, chain.t, piece, scale, inv_two_sigma_sq, translate,
+                        moves, *(buffer.ctypes.data for buffer in sweep_draws), *outputs,
+                    )
+            chain.s, chain.t = float(s_out[piece - 1]), float(t_out[piece - 1])
+            chain.sweeps_done += piece
+            if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
+                chain.resync_stats()
+                s_out[piece - 1], t_out[piece - 1] = chain.s, chain.t
+            # the first sweep of this piece recorded: i > burn, (i - burn) % thin == 0
+            first = max(done + 1, burn + thin)
+            first += -(first - burn) % thin
+            if first <= done + piece:
+                s_rec = s_out[first - done - 1 : piece : thin]
+                t_rec = t_out[first - done - 1 : piece : thin]
+                records.extend(
+                    map(
+                        SampleRecord,
+                        range(first, done + piece + 1, thin),
+                        s_rec.tolist(),
+                        t_rec.tolist(),
+                        (s_rec / s_denom).tolist(),
+                        (t_rec / n).tolist(),
+                    )
+                )
+            done += piece
+    finally:
+        if helper is not None:
+            helper.close()
+        _SAMPLER_THREADS.leave()
     chain.accepted += int(counts[0])
     chain.proposed += int(sweeps) * n
     chain.translations_accepted += int(counts[1])

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import cwsoc
+import cwsoc.cli as cli
 from cwsoc.cli import main
 from cwsoc.limit_law import QuarticLaw, normalizer
 from cwsoc.samplers import chain_rng
@@ -23,6 +25,41 @@ from cwsoc.verification import TOLERANCES
 
 def read(path):
     return path.read_text()
+
+
+def interrupt_a_long_run(args):
+    """Runs the CLI with `args` in a child process, sends its process group
+    SIGINT half a second after sampling starts, and asserts that it exits
+    nonzero within 10 s."""
+    script = (
+        "import sys, cwsoc.cli as cli\n"
+        "inner = cli.run\n"
+        "def run(chain, sweeps):\n"
+        "    sys.stdout.write('sampling\\n')\n"
+        "    sys.stdout.flush()\n"
+        "    return inner(chain, sweeps)\n"
+        "cli.run = run\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(cwsoc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, start_new_session=True,
+    )
+    try:
+        # chain threads may write it at once, so their lines may run together
+        assert proc.stdout.readline().startswith("sampling")
+        time.sleep(0.5)
+        assert proc.poll() is None
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=10)
+        assert proc.returncode != 0
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        proc.stdout.close()
 
 
 class TestSimulate:
@@ -91,37 +128,11 @@ class TestSimulate:
 
     def test_ctrl_c_stops_a_long_run_at_once(self, tmp_path):
         # each chain needs well over 30 s; the run must not wait for them after SIGINT
-        script = (
-            "import sys, cwsoc.cli as cli\n"
-            "inner = cli.run\n"
-            "def run(chain, sweeps):\n"
-            "    sys.stdout.write('sampling\\n')\n"
-            "    sys.stdout.flush()\n"
-            "    return inner(chain, sweeps)\n"
-            "cli.run = run\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
         sweeps = "3000000"
-        src = str(Path(cwsoc.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, "simulate", "--n", "256", "--sweeps", sweeps, "--burn-in", sweeps,
-             "--chains", "2", "--out", str(tmp_path / "run")],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, start_new_session=True,
+        interrupt_a_long_run(
+            ["simulate", "--n", "256", "--sweeps", sweeps, "--burn-in", sweeps, "--chains", "2",
+             "--out", str(tmp_path / "run")]
         )
-        try:
-            # both chain threads write it, so their lines may run together
-            assert proc.stdout.readline().startswith("sampling")
-            time.sleep(0.5)
-            assert proc.poll() is None
-            os.killpg(proc.pid, signal.SIGINT)
-            proc.wait(timeout=10)
-            assert proc.returncode != 0
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-            proc.stdout.close()
 
     def test_invalid_flag_exits_2(self, tmp_path):
         assert main(["simulate", "--n", "not-a-number", "--out", str(tmp_path)]) == 2
@@ -143,6 +154,27 @@ class TestSimulate:
         chain_col = [line.split(",")[0] for line in read(out / "samples.csv").splitlines()[1:]]
         assert chain_col == sorted(chain_col)
         assert set(chain_col) == {"0", "1", "2"}
+
+    def test_chains_share_the_usable_cpus(self, tmp_path, monkeypatch):
+        # one usable CPU: one chain thread runs all three chains, with the same bytes
+        threads = []
+        inner = cli.run
+
+        def recording_run(chain, sweeps):
+            threads.append(threading.get_ident())
+            return inner(chain, sweeps)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        outputs = {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            threads.clear()
+            out = tmp_path / str(cpus)
+            assert main(["simulate", "--n", "8", "--sweeps", "40", "--chains", "3", "--out", str(out)]) == 0
+            outputs[cpus] = (out / "samples.csv").read_bytes()
+            if cpus == 1:
+                assert len(threads) == 3 and len(set(threads)) == 1
+        assert outputs[1] == outputs[3]
 
     def test_t_scaled_concentrates_at_desk_scale(self, tmp_path):
         out = tmp_path / "run"
@@ -397,6 +429,14 @@ class TestConvergence:
             "translate_moves": 8, "translate_scale": 1.5,
         }
         assert manifest["params"] == {"n_list": [8, 16], "sigma": 1.0}
+
+    def test_ctrl_c_stops_a_long_run_at_once(self, tmp_path):
+        # the chain runs on the main thread, with a helper drawing ahead where a
+        # CPU is spare; neither may keep the process alive after SIGINT
+        sweeps = "3000000"
+        interrupt_a_long_run(
+            ["convergence", "--n-list", "256", "--sweeps", sweeps, "--burn-in", sweeps, "--out", str(tmp_path / "conv")]
+        )
 
     def test_ks_shrinks_from_n32_to_n256_on_fixed_seed(self, tmp_path):
         # empirical convergence trend; deterministic given the frozen seed

@@ -120,7 +120,7 @@ class TestCache:
             lib.cw_sweeps(
                 chain.rng.bit_generator.ctypes.bit_generator.value, chain.x.ctypes.data, 5, chain.s, chain.t,
                 30, cfg.proposal_scale, 0.5, 0.0, 0, sites.ctypes.data, normals.ctypes.data,
-                uniforms.ctypes.data, s_out.ctypes.data, t_out.ctypes.data, counts.ctypes.data,
+                uniforms.ctypes.data, None, s_out.ctypes.data, t_out.ctypes.data, counts.ctypes.data,
             )
             assert 0 < counts[0] < 150
             assert counts[1] == 0
@@ -156,7 +156,7 @@ class TestSignatures:
     # ctypes passes whatever a stale declaration says without complaint
     def test_exported_definitions_are_found(self):
         names = [name for name, _, _ in exported_definitions()]
-        assert "cw_sweeps" in names and "cw_density" in names
+        assert {"cw_draw", "cw_walk", "cw_sweeps", "cw_density"} <= set(names)
         assert len(names) == len(set(names))
 
     @pytest.mark.parametrize("name, count, void", exported_definitions())

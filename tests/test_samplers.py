@@ -1,11 +1,16 @@
 """Tests for the Metropolis chain and the importance-sampling route."""
 
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.special import gammainc, gammaincinv
 
+from cwsoc import samplers
 from cwsoc.model import DomainError, ModelParams, sum_stats
 from cwsoc.samplers import (
     IMPORTANCE_BLOCK,
@@ -21,6 +26,7 @@ from cwsoc.samplers import (
     init_chain,
     run,
     sample_nu_star,
+    usable_cpus,
 )
 from cwsoc.verification import density_closed_form, ks_statistic
 
@@ -421,6 +427,208 @@ class TestRunMatchesPythonOracle:
         assert all(len(one) == 1 and one[0].sweep == 1 for one in singles)
         assert repr([one[0][1:] for one in singles]) == repr([r[1:] for r in records])
         assert_same_chain(stepped, whole)
+
+
+class CountingKernel:
+    """The compiled kernel, with the threads that call cw_draw recorded and
+    after_first_draw, if given, called after the first."""
+
+    def __init__(self, lib, after_first_draw=None):
+        self._lib, self._after_first_draw = lib, after_first_draw
+        self.draw_threads = []
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def cw_draw(self, *args):
+        self.draw_threads.append(threading.get_ident())
+        self._lib.cw_draw(*args)
+        if self._after_first_draw is not None and len(self.draw_threads) == 1:
+            self._after_first_draw()
+
+
+class TestDrawAhead:
+    # 4-sweep blocks at n = 16; the chains start 9 sweeps short of a resync
+    N, BLOCK_PROPOSALS, START = 16, 64, RESYNC_EVERY_SWEEPS - 9
+
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        """Sets the CPUs and the block size and returns the counting kernel."""
+
+        def setup(cpus, after_first_draw=None):
+            monkeypatch.setattr(samplers, "DRAW_AHEAD_PROPOSALS", self.BLOCK_PROPOSALS)
+            monkeypatch.setattr(samplers, "usable_cpus", lambda: cpus)
+            lib = CountingKernel(samplers.kernel(), after_first_draw)
+            monkeypatch.setattr(samplers, "kernel", lambda: lib)
+            return lib
+
+        return setup
+
+    def chains(self, translate_scale):
+        cfg = SamplerConfig(proposal_scale=1.7, burn_in_sweeps=5, thin_sweeps=2, seed=77,
+                            translate_scale=translate_scale)
+        pair = init_chain(ModelParams(self.N, 1.3), cfg, 2), init_chain(ModelParams(self.N, 1.3), cfg, 2)
+        for chain in pair:
+            chain.sweeps_done = self.START
+        return pair
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("translate_scale", [0.0, 1.5])
+    def test_bit_identical_across_resync_boundary(self, counting, cpus, translate_scale):
+        lib = counting(cpus)
+        compiled, reference = self.chains(translate_scale)
+        translations = []
+        records = run(compiled, 41)
+        assert repr(records) == repr(oracle_run(reference, 41, translations))
+        assert_same_chain(compiled, reference)
+        assert compiled.translations_accepted == sum(translations)
+        if cpus == 1:
+            assert lib.draw_threads == []
+        else:
+            # 4 + 4 + 1 sweeps to the resync, then 8 blocks of 4, all drawn by one other thread
+            assert len(lib.draw_threads) == 11
+            assert set(lib.draw_threads) != {threading.get_ident()} and len(set(lib.draw_threads)) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_calls_that_end_mid_block(self, counting, cpus):
+        lib = counting(cpus)
+        compiled, reference = self.chains(1.5)
+        for sweeps in (10, 7, 1, 13, 9, 6):
+            assert repr(run(compiled, sweeps)) == repr(oracle_run(reference, sweeps))
+        assert_same_chain(compiled, reference)
+        assert (lib.draw_threads != []) == (cpus > 1)
+
+    def test_helper_that_stops_early_leaves_the_stream_unchanged(self, counting):
+        # another chain thread starts after the helper's first block, which
+        # leaves 3 busy threads on 2 CPUs: the chain draws the rest itself
+        entered = []
+        lib = counting(2, after_first_draw=lambda: entered.append(samplers._SAMPLER_THREADS.enter()))
+        compiled, reference = self.chains(1.5)
+        try:
+            records = run(compiled, 41)
+        finally:
+            for _ in entered:
+                samplers._SAMPLER_THREADS.leave()
+        assert repr(records) == repr(oracle_run(reference, 41))
+        assert_same_chain(compiled, reference)
+        assert len(lib.draw_threads) == 1
+
+    def test_helper_failure_raised_and_its_cpu_released(self, counting, monkeypatch):
+        lib = counting(2)
+
+        def fail(*args):
+            raise OSError("draw failed")
+
+        monkeypatch.setattr(lib, "cw_draw", fail)
+        compiled, _ = self.chains(0.0)
+        with pytest.raises(OSError, match="draw failed"):
+            run(compiled, 41)
+        monkeypatch.delattr(lib, "cw_draw")
+        # both claims were released: the next call finds its spare CPU again
+        compiled, reference = self.chains(0.0)
+        assert repr(run(compiled, 41)) == repr(oracle_run(reference, 41))
+        assert lib.draw_threads != []
+
+    def test_walk_failure_wakes_a_waiting_helper(self, counting, monkeypatch):
+        lib = counting(2)
+
+        def walk(*args):
+            # once both buffers are drawn the helper waits for one to come back
+            deadline = time.monotonic() + 10
+            while len(lib.draw_threads) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(lib, "cw_walk", walk)
+        compiled, _ = self.chains(0.0)
+        before = set(threading.enumerate())
+        errors = []
+
+        def walker():
+            try:
+                run(compiled, 41)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=walker, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [str(exc) for exc in errors] == ["walk failed"]
+        assert len(lib.draw_threads) == 2
+        assert set(threading.enumerate()) <= before  # the helper has ended
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity on this platform")
+    def test_helper_runs_off_the_chain_threads_cpu(self, counting, monkeypatch):
+        lib = counting(4)
+        draw, masks = lib.cw_draw, []
+
+        def recording_draw(*args):
+            masks.append(os.sched_getaffinity(0))
+            draw(*args)
+
+        monkeypatch.setattr(lib, "cw_draw", recording_draw)
+        current_cpu, here = lib.cw_current_cpu, []
+
+        def recording_cpu():
+            here.append(current_cpu())
+            return here[-1]
+
+        monkeypatch.setattr(lib, "cw_current_cpu", recording_cpu)
+        mask = os.sched_getaffinity(0)
+        compiled, reference = self.chains(0.0)
+        assert repr(run(compiled, 41)) == repr(oracle_run(reference, 41))
+        assert len(here) == 1 and here[0] in mask
+        # with one CPU there is no other to keep it on
+        assert masks and all(m == (mask - {here[0]} or mask) for m in masks)
+        assert os.sched_getaffinity(0) == mask
+
+    def test_chains_on_more_threads_than_cpus(self, counting):
+        # helpers start, draw and stop early as six chain threads come and go
+        # on four counted CPUs, with thread switches forced often
+        lib = counting(4)
+        pairs = [self.chains(1.5) for _ in range(6)]
+        results = [None] * len(pairs)
+
+        def work(i):
+            results[i] = run(pairs[i][0], 41)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(len(pairs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for (compiled, reference), records in zip(pairs, results):
+            assert repr(records) == repr(oracle_run(reference, 41))
+            assert_same_chain(compiled, reference)
+        assert lib.draw_threads != []
+        assert samplers._SAMPLER_THREADS._busy == 0  # every claim was given back
+
+    def test_no_helper_for_one_block(self, counting):
+        lib = counting(4)
+        compiled, reference = self.chains(0.0)
+        assert repr(run(compiled, 4)) == repr(oracle_run(reference, 4))
+        assert lib.draw_threads == []
+
+
+class TestUsableCpus:
+    def test_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert usable_cpus() == 2
+
+    @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
+    def test_counts_every_cpu_without_a_mask(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert usable_cpus() == expected
 
 
 class TestChainInvariants:
