@@ -1,7 +1,6 @@
 /* The compiled kernels of cwsoc.  They export these entries:
- *   cw_draw, cw_walk and  the Metropolis sweeps of cwsoc.samplers: the draws
- *   cw_sweeps             of a block of sweeps, the walk over them, and
- *                         the two fused sweep by sweep;
+ *   cw_draw and cw_walk   the Metropolis sweeps of cwsoc.samplers: the draws
+ *                         of a block of sweeps and the walk over them;
  *   cw_current_cpu        the calling thread's CPU, which samplers keeps its
  *                         helper thread off;
  *   cw_char_fn            Phi_n(u, v), verification.char_fn;
@@ -29,8 +28,7 @@
  * u2, ...; the caller passes moves = 0 when the translation scale is 0, and
  * nothing more is drawn.  cw_walk runs the sweeps on those draws; it touches
  * no bit generator, so one thread can walk a block while another draws the
- * next.  cw_sweeps calls cw_draw and then cw_walk for one sweep at a time,
- * so one thread draws and walks with the draws still in cache.
+ * next.
  *
  * cw_walk's static helper cw_metropolis runs one single-site random-walk
  * step per drawn (site, normal, uniform) triple, and cw_translate runs the
@@ -173,22 +171,6 @@ void cw_walk(double *x, int64_t n, double s, double t, int64_t sweeps, double sc
         }
         s_out[i] = st[0];
         t_out[i] = st[1];
-    }
-}
-
-/* cw_draw and cw_walk one sweep at a time, on the caller's buffers for the
- * draws of one sweep: n entries each in sites, normals and uniforms, and
- * 2 moves in zu. */
-void cw_sweeps(bitgen_t *bitgen, double *x, int64_t n, double s, double t, int64_t sweeps, double scale,
-               double inv_two_sigma_sq, double d, int64_t moves, uint64_t *sites, double *normals,
-               double *uniforms, double *zu, double *s_out, double *t_out, int64_t *counts)
-{
-    for (int64_t i = 0; i < sweeps; i++) {
-        cw_draw(bitgen, n, 1, moves, sites, normals, uniforms, zu);
-        cw_walk(x, n, s, t, 1, scale, inv_two_sigma_sq, d, moves, sites, normals, uniforms, zu, s_out + i,
-                t_out + i, counts);
-        s = s_out[i];
-        t = t_out[i];
     }
 }
 

@@ -1,10 +1,10 @@
 """Builds and loads the compiled kernels (``_kernel.c``) on first use: the
-Metropolis sweeps of ``samplers`` and the CPU query of its draw-ahead
-thread, and ``verification``'s characteristic
-function, the inner u-rule of its Fourier inversion and the integrands that
-QUADPACK calls through ``scipy.LowLevelCallable``: the inversion's outer
-integrand, the closed-form (s, t) density (``cw_density``, which
-``density_closed_form`` calls too) and the Gaussian-integral oracle's.
+draws and walks of ``samplers``' Metropolis sweeps and the CPU query that
+keeps its helper thread off the chain's CPU, and ``verification``'s
+characteristic function, the inner u-rule of its Fourier inversion and the
+integrands that QUADPACK calls through ``scipy.LowLevelCallable``: the
+inversion's outer integrand, the closed-form (s, t) density (``cw_density``,
+which ``density_closed_form`` calls too) and the Gaussian-integral oracle's.
 
 The library is compiled with the C compiler ``cc`` against numpy's shipped
 static ``numpy/random/lib/libnpyrandom.a``, so its draws run through the same
@@ -13,8 +13,10 @@ C samplers as ``numpy.random.Generator``.  It is cached in this package's
 flags and the numpy version; a cache hit never runs the compiler.  Each build
 writes a private temporary file and moves it into place with ``os.replace``,
 so processes that build into the same cache at once all end up loading a
-complete library.  Nothing falls back to Python: a missing compiler or a
-failed build raises :class:`KernelBuildError`.
+complete library, and then removes every other ``_kernel-*.so`` there: the
+builds of earlier sources, flags or numpy versions.  A process that has one
+of them loaded keeps its mapping.  Nothing falls back to Python: a missing
+compiler or a failed build raises :class:`KernelBuildError`.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ def _build(target: Path) -> None:
                 f"building {SOURCE.name} failed (exit {proc.returncode}): {' '.join(cmd)}\n{proc.stderr}"
             )
         os.replace(tmp, target)
+        for stale in target.parent.glob("_kernel-*.so"):
+            if stale != target:
+                stale.unlink(missing_ok=True)  # another build may have removed it first
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -88,9 +93,7 @@ def kernel() -> ctypes.CDLL:
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         lib.cw_draw.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, ptr]
         lib.cw_walk.argtypes = [ptr, i64, f64, f64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-        lib.cw_sweeps.argtypes = [ptr, *lib.cw_walk.argtypes]  # the bit generator, then cw_walk's
-        for name in ("cw_draw", "cw_walk", "cw_sweeps"):
-            getattr(lib, name).restype = None
+        lib.cw_draw.restype = lib.cw_walk.restype = None
         lib.cw_current_cpu.argtypes = []
         lib.cw_current_cpu.restype = i64
         lib.cw_char_fn.argtypes = [ptr, i64, f64, i64, ptr]

@@ -16,8 +16,9 @@ samplers.TRANSLATE_MOVES translation moves of scale TRANSLATE_SCALE, recorded
 in the manifest as the sampler's ``translate_moves`` and ``translate_scale``;
 Ctrl-C stops it at once too.  Where a CPU is left spare, as one is by
 ``convergence`` or by fewer ``simulate`` chains than CPUs, ``samplers.run``
-has a helper thread draw each chain's random numbers ahead of its walk; the
-draws and so every output byte are the same on one CPU or many.
+has a helper thread draw each chain's random numbers ahead of its walk, and
+otherwise the chain's thread draws them itself; the draws and so every output
+byte are the same on one CPU or many.
 """
 
 from __future__ import annotations

@@ -5,15 +5,14 @@ Two independent routes at the statistics level:
 * single-site random-walk Metropolis on the full configuration, with O(1)
   incremental updates of (s, t), targeting the tilted measure exactly.  The
   kernel is compiled C (``_kernel.c``, built and cached by ``_native`` on
-  first use), and ``run`` allocates its draw buffers, per-sweep (s, t)
-  outputs and accepted counts once per call.  Who draws depends on the CPUs:
-  when the process has a spare one (fewer busy sampler threads, chain threads
-  inside ``run`` and drawing helpers, than ``usable_cpus()``), a helper
-  thread draws the chain's next block of about DRAW_AHEAD_PROPOSALS proposals
-  (``cw_draw``) while the chain's thread walks the current one
-  (``cw_walk``); otherwise the chain's thread hands the kernel each stretch
-  of sweeps up to the next resync in one call (``cw_sweeps``), which draws
-  and walks sweep by sweep;
+  first use).  ``run`` allocates its draw buffers, per-sweep (s, t) outputs
+  and accepted counts once per call, and runs the sweeps in blocks of about
+  DRAW_AHEAD_PROPOSALS proposals, each drawn in full (``cw_draw``) and then
+  walked (``cw_walk``).  When the process has a spare CPU (fewer busy
+  sampler threads, chain threads inside ``run`` and drawing helpers, than
+  ``usable_cpus()``), a helper thread draws the chain's next blocks while the
+  chain's thread walks the current one; otherwise the chain's thread draws
+  each block itself;
 * exact iid draws of (s, t) from the untilted product law, reweighted by
   exp(s^2/(2t)) in a self-normalized importance-sampling estimator.
 
@@ -41,6 +40,8 @@ import math
 import os
 import threading
 import warnings
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -66,7 +67,7 @@ __all__ = [
 # Cached (s, t) are recomputed from the configuration this often, which keeps
 # incremental rounding drift far below test tolerances.
 RESYNC_EVERY_SWEEPS = 10_000
-# proposals per block that a helper thread draws ahead of the chain's walk
+# proposals per block of sweeps: run draws a block in full, then walks it
 DRAW_AHEAD_PROPOSALS = 2**15
 
 MIN_IMPORTANCE_DRAWS = 100
@@ -225,99 +226,6 @@ def _pieces(sweeps_done: int, sweeps: int, most: int) -> Iterator[int]:
         sweeps -= piece
 
 
-class _DrawAhead:
-    """A daemon thread that draws a chain's blocks of sweeps, of the sizes
-    given (at most `most` each), into two buffers in turn while the chain
-    walks the other one.
-
-    start() claims a spare CPU for the thread, which gives the claim back when
-    it ends: once every block is drawn, on close(), or early, before a block,
-    when more sampler threads are busy than the process had CPUs when it
-    started.  The thread runs on every usable CPU but the one the chain's
-    thread ran on at its start: left free, the scheduler would at times stack
-    the two on one CPU, where they run slower than one thread drawing and
-    walking, while another CPU idled."""
-
-    def __init__(self, lib, bit_generator, n: int, moves: int, sizes: Iterator[int], most: int) -> None:
-        self._lib, self._bit_generator = lib, bit_generator
-        self._n, self._moves, self._sizes = n, moves, sizes
-        self._cpus = usable_cpus()
-        self._affinity: set[int] = set()
-        here = lib.cw_current_cpu()
-        if here >= 0 and hasattr(os, "sched_setaffinity"):
-            self._affinity = os.sched_getaffinity(0) - {here}
-        self._buffer_sweeps = [0, 0]
-        self._buffers = [
-            [np.empty(most * n, dtype=np.uint64), np.empty(most * n), np.empty(most * n), np.empty(2 * most * moves)]
-            for _ in range(2)
-        ]
-        self._free = threading.Semaphore(2)  # buffers the thread may fill
-        self._full = threading.Semaphore(0)  # blocks drawn, and one more when the thread ends
-        self._drawn = 0
-        self._walked = 0
-        self._closed = False
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._draw, daemon=True)
-
-    @classmethod
-    def start(cls, lib, bit_generator, n: int, moves: int, sizes: Iterator[int], most: int) -> _DrawAhead | None:
-        """A running helper when a CPU is spare, else None."""
-        if not _SAMPLER_THREADS.enter(spare_only=True):
-            return None
-        try:
-            helper = cls(lib, bit_generator, n, moves, sizes, most)
-            helper._thread.start()
-        except BaseException:
-            _SAMPLER_THREADS.leave()
-            raise
-        return helper
-
-    def _draw(self) -> None:
-        bitgen = self._bit_generator.ctypes.bit_generator.value
-        try:
-            if self._affinity:
-                os.sched_setaffinity(0, self._affinity)  # this thread's only
-            for block, size in enumerate(self._sizes):
-                self._free.acquire()
-                if self._closed or _SAMPLER_THREADS.exceed(self._cpus):
-                    return
-                with self._bit_generator.lock:
-                    self._lib.cw_draw(bitgen, self._n, size, self._moves, *self._pointers(block))
-                self._buffer_sweeps[block % 2] = size
-                self._drawn += 1
-                self._full.release()
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the walking thread
-            self._error = exc
-        finally:
-            _SAMPLER_THREADS.leave()
-            self._full.release()
-
-    def _pointers(self, block: int) -> list[int]:
-        return [buffer.ctypes.data for buffer in self._buffers[block % 2]]
-
-    def next_block(self) -> tuple[int, list[int]]:
-        """Waits for the next block: its sweeps and the addresses of its sites,
-        normals, uniforms and translation draws, valid until done_with().  The
-        sweeps are 0 when the thread ended before drawing it."""
-        self._full.acquire()
-        if self._error is not None:
-            raise self._error
-        if self._walked == self._drawn:
-            return 0, []
-        return self._buffer_sweeps[self._walked % 2], self._pointers(self._walked)
-
-    def done_with(self) -> None:
-        """Hands the walked block's buffer back to the thread."""
-        self._walked += 1
-        self._free.release()
-
-    def close(self) -> None:
-        """Wakes the thread if it waits for a buffer, and joins it."""
-        self._closed = True
-        self._free.release()
-        self._thread.join()
-
-
 def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     """Advance the chain by `sweeps` sweeps, recording thinned post-burn-in stats.
 
@@ -333,15 +241,18 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     are recomputed from the configuration whenever the chain's sweep count
     reaches a multiple of RESYNC_EVERY_SWEEPS.
 
-    Who draws: when fewer sampler threads of the process are busy than
-    usable_cpus() (a thread inside run counts, and so does a drawing helper)
-    and more than one block is left, a helper thread draws the chain's next
-    block of about DRAW_AHEAD_PROPOSALS proposals while this thread walks the
-    current one; otherwise this thread draws and walks each sweep in turn, up
-    to the next resync, and checks again for a spare CPU there.  The helper makes the same
-    draws on the same bit generator in the same order, holding its lock, and
-    the call returns only after it has ended: records, configuration, counters
-    and the generator's state are the same either way.
+    The sweeps run in blocks of at most DRAW_AHEAD_PROPOSALS // n sweeps, none
+    running past a resync, each drawn in full and then walked.  Who draws:
+    when the call has more than one block and fewer sampler threads of the
+    process are busy than usable_cpus() (a thread inside run counts, and so
+    does a helper), a helper thread draws up to two blocks ahead while this
+    thread walks; this thread stops feeding it once more threads are busy
+    than there were CPUs at its start, and then draws every later block
+    itself.  Otherwise this thread draws each block itself.  Both make the
+    same draws on the same bit generator in the same order, holding its lock,
+    and the call returns only after the helper has ended: records,
+    configuration, counters and the generator's state are the same either
+    way.
 
     Sweep i (1-based, counted from the start of this call) is recorded when
     i > burn_in_sweeps and (i - burn_in_sweeps) is a multiple of thin_sweeps.
@@ -372,40 +283,61 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     bit_generator = chain.rng.bit_generator
     bitgen = bit_generator.ctypes.bit_generator.value
     moves = TRANSLATE_MOVES if translate > 0.0 else 0
-    sweep_draws = [np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n), np.empty(2 * moves)]
-    counts = np.zeros(2, dtype=np.int64)
-    s_out = np.empty(min(sweeps, RESYNC_EVERY_SWEEPS))
-    t_out = np.empty_like(s_out)
-    outputs = (s_out.ctypes.data, t_out.ctypes.data, counts.ctypes.data)
-    # the sweeps of a block a helper draws; with one block or less left there
-    # is nothing to overlap, and no helper starts
     block = min(max(1, DRAW_AHEAD_PROPOSALS // n), RESYNC_EVERY_SWEEPS)
-    helper: _DrawAhead | None = None
+    sizes = list(_pieces(chain.sweeps_done, sweeps, block))
+    most = max(sizes)
+    counts = np.zeros(2, dtype=np.int64)
+    s_out = np.empty(most)
+    t_out = np.empty_like(s_out)
+    spins = x.ctypes.data
+    outputs = (s_out.ctypes.data, t_out.ctypes.data, counts.ctypes.data)
+
+    def new_buffers() -> tuple[list[np.ndarray], list[int]]:
+        """Room for a block's sites, normals, uniforms and translation draws,
+        and its addresses."""
+        arrays = [np.empty(most * n, dtype=np.uint64), np.empty(most * n), np.empty(most * n), np.empty(2 * most * moves)]
+        return arrays, [array.ctypes.data for array in arrays]
+
+    def draw(buffers: list[int], piece: int) -> None:
+        with bit_generator.lock:
+            lib.cw_draw(bitgen, n, piece, moves, *buffers)
+
+    buffer_sets = [new_buffers()]
+    helper: ThreadPoolExecutor | None = None
+    queued: deque[Future] = deque()  # the helper's draws of the next blocks, in order
     _SAMPLER_THREADS.enter()
     try:
+        if len(sizes) > 1 and _SAMPLER_THREADS.enter(spare_only=True):
+            cpus = usable_cpus()
+            # Left free, the scheduler at times stacks the helper on the chain
+            # thread's CPU, where the two run slower than one thread drawing and
+            # walking, while another CPU idles: the helper runs on the others.
+            here = lib.cw_current_cpu()
+            others = os.sched_getaffinity(0) - {here} if here >= 0 and hasattr(os, "sched_setaffinity") else set()
+            helper = ThreadPoolExecutor(1, initializer=os.sched_setaffinity if others else None, initargs=(0, others))
+            buffer_sets.append(new_buffers())
+            queued.extend(helper.submit(draw, buffer_sets[k][1], sizes[k]) for k in range(2))
         done = 0
-        while done < sweeps:
-            if helper is None and sweeps - done > block:
-                sizes = _pieces(chain.sweeps_done, sweeps - done, block)
-                helper = _DrawAhead.start(lib, bit_generator, n, moves, sizes, block)
-            piece, draws = helper.next_block() if helper is not None else (0, [])
-            if piece:
-                lib.cw_walk(
-                    x.ctypes.data, n, chain.s, chain.t, piece, scale, inv_two_sigma_sq, translate, moves,
-                    *draws, *outputs,
-                )
-                helper.done_with()
+        for k, piece in enumerate(sizes):
+            _, buffers = buffer_sets[k % len(buffer_sets)]
+            if queued:
+                queued.popleft().result()
             else:
-                if helper is not None:  # it ended early: this thread draws from here on
-                    helper.close()
+                draw(buffers, piece)
+            lib.cw_walk(
+                spins, n, chain.s, chain.t, piece, scale, inv_two_sigma_sq, translate, moves,
+                *buffers, *outputs,
+            )
+            if helper is not None:
+                # block k + 2 goes into the buffers just walked; once a block
+                # is not handed over, the helper gets no more
+                if queued and k + 2 < len(sizes) and not _SAMPLER_THREADS.exceed(cpus):
+                    queued.append(helper.submit(draw, buffers, sizes[k + 2]))
+                elif not queued:
+                    helper.shutdown()
                     helper = None
-                # one stretch runs up to the chain's next resync boundary
-                piece = next(_pieces(chain.sweeps_done, sweeps - done, RESYNC_EVERY_SWEEPS))
-                with bit_generator.lock:
-                    lib.cw_sweeps(
-                        bitgen, x.ctypes.data, n, chain.s, chain.t, piece, scale, inv_two_sigma_sq, translate,
-                        moves, *(buffer.ctypes.data for buffer in sweep_draws), *outputs,
-                    )
+                    _SAMPLER_THREADS.leave()
+                    del buffer_sets[1:]  # one set serves this thread from here on
             chain.s, chain.t = float(s_out[piece - 1]), float(t_out[piece - 1])
             chain.sweeps_done += piece
             if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
@@ -430,7 +362,8 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
             done += piece
     finally:
         if helper is not None:
-            helper.close()
+            helper.shutdown(cancel_futures=True)  # waits for a draw under way: it holds the bit generator
+            _SAMPLER_THREADS.leave()
         _SAMPLER_THREADS.leave()
     chain.accepted += int(counts[0])
     chain.proposed += int(sweeps) * n

@@ -113,20 +113,31 @@ class TestCache:
             assert not thread.is_alive()
         assert len(libs) == 2
         for lib in libs:
-            # 30 sweeps in one call: the statistics `run` records after sweep 30
+            # 30 sweeps drawn and walked in one block: the statistics `run` records after sweep 30
             chain = init_chain(params, cfg)
-            sites, normals, uniforms = np.empty(5, dtype=np.uint64), np.empty(5), np.empty(5)
+            sites, normals, uniforms = np.empty(150, dtype=np.uint64), np.empty(150), np.empty(150)
             s_out, t_out, counts = np.empty(30), np.empty(30), np.zeros(2, dtype=np.int64)
-            lib.cw_sweeps(
-                chain.rng.bit_generator.ctypes.bit_generator.value, chain.x.ctypes.data, 5, chain.s, chain.t,
-                30, cfg.proposal_scale, 0.5, 0.0, 0, sites.ctypes.data, normals.ctypes.data,
-                uniforms.ctypes.data, None, s_out.ctypes.data, t_out.ctypes.data, counts.ctypes.data,
+            draws = (sites.ctypes.data, normals.ctypes.data, uniforms.ctypes.data, None)
+            lib.cw_draw(chain.rng.bit_generator.ctypes.bit_generator.value, 5, 30, 0, *draws)
+            lib.cw_walk(
+                chain.x.ctypes.data, 5, chain.s, chain.t, 30, cfg.proposal_scale, 0.5, 0.0, 0, *draws,
+                s_out.ctypes.data, t_out.ctypes.data, counts.ctypes.data,
             )
             assert 0 < counts[0] < 150
             assert counts[1] == 0
             assert (s_out[-1], t_out[-1]) == (expected.s, expected.t)
         (built,) = library_files(cache)  # no temporary files left behind
         assert built.endswith(".so")
+
+    def test_a_build_removes_stale_builds(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "_kernel-0000.so").write_bytes(b"a build of another source")
+        (cache / "cli.cpython-311.pyc").write_bytes(b"not a kernel build")
+        monkeypatch.setattr(_native, "CACHE_DIR", cache)
+        monkeypatch.setattr(_native, "_lib", None)
+        _native.kernel()
+        assert library_files(cache) == sorted([_native._library_path().name, "cli.cpython-311.pyc"])
 
     def test_importing_the_cli_leaves_the_kernel_unloaded(self):
         # importing _native neither builds nor loads the library; only kernel() does
@@ -156,7 +167,7 @@ class TestSignatures:
     # ctypes passes whatever a stale declaration says without complaint
     def test_exported_definitions_are_found(self):
         names = [name for name, _, _ in exported_definitions()]
-        assert {"cw_draw", "cw_walk", "cw_sweeps", "cw_density"} <= set(names)
+        assert {"cw_draw", "cw_walk", "cw_density"} <= set(names)
         assert len(names) == len(set(names))
 
     @pytest.mark.parametrize("name, count, void", exported_definitions())

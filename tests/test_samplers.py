@@ -483,7 +483,7 @@ class TestDrawAhead:
         assert_same_chain(compiled, reference)
         assert compiled.translations_accepted == sum(translations)
         if cpus == 1:
-            assert lib.draw_threads == []
+            assert set(lib.draw_threads) == {threading.get_ident()}
         else:
             # 4 + 4 + 1 sweeps to the resync, then 8 blocks of 4, all drawn by one other thread
             assert len(lib.draw_threads) == 11
@@ -496,11 +496,13 @@ class TestDrawAhead:
         for sweeps in (10, 7, 1, 13, 9, 6):
             assert repr(run(compiled, sweeps)) == repr(oracle_run(reference, sweeps))
         assert_same_chain(compiled, reference)
-        assert (lib.draw_threads != []) == (cpus > 1)
+        # with a spare CPU a helper draws the calls of more than one block
+        assert (set(lib.draw_threads) != {threading.get_ident()}) == (cpus > 1)
 
     def test_helper_that_stops_early_leaves_the_stream_unchanged(self, counting):
-        # another chain thread starts after the helper's first block, which
-        # leaves 3 busy threads on 2 CPUs: the chain draws the rest itself
+        # another chain thread starts during the helper's first block, which
+        # leaves 3 busy threads on 2 CPUs: the helper draws the two blocks
+        # queued at the start, and the chain draws the other 9 itself
         entered = []
         lib = counting(2, after_first_draw=lambda: entered.append(samplers._SAMPLER_THREADS.enter()))
         compiled, reference = self.chains(1.5)
@@ -511,7 +513,9 @@ class TestDrawAhead:
                 samplers._SAMPLER_THREADS.leave()
         assert repr(records) == repr(oracle_run(reference, 41))
         assert_same_chain(compiled, reference)
-        assert len(lib.draw_threads) == 1
+        assert len(lib.draw_threads) == 11
+        assert lib.draw_threads[0] == lib.draw_threads[1] != threading.get_ident()
+        assert lib.draw_threads[2:] == [threading.get_ident()] * 9
 
     def test_helper_failure_raised_and_its_cpu_released(self, counting, monkeypatch):
         lib = counting(2)
@@ -558,6 +562,23 @@ class TestDrawAhead:
         assert [str(exc) for exc in errors] == ["walk failed"]
         assert len(lib.draw_threads) == 2
         assert set(threading.enumerate()) <= before  # the helper has ended
+
+    def test_ctrl_c_in_a_walk_leaves_no_helper_behind(self, counting, monkeypatch):
+        # a KeyboardInterrupt is a BaseException: while the chain walks block
+        # 0, block 1 is queued for the helper or being drawn by it
+        lib = counting(2)
+
+        def walk(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lib, "cw_walk", walk)
+        compiled, _ = self.chains(0.0)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            run(compiled, 41)
+        assert 1 <= len(lib.draw_threads) <= 2
+        assert set(threading.enumerate()) <= before  # the helper has ended
+        assert samplers._SAMPLER_THREADS._busy == 0  # every claim was given back
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity on this platform")
     def test_helper_runs_off_the_chain_threads_cpu(self, counting, monkeypatch):
@@ -615,7 +636,7 @@ class TestDrawAhead:
         lib = counting(4)
         compiled, reference = self.chains(0.0)
         assert repr(run(compiled, 4)) == repr(oracle_run(reference, 4))
-        assert lib.draw_threads == []
+        assert lib.draw_threads == [threading.get_ident()]
 
 
 class TestUsableCpus:
