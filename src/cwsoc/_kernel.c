@@ -3,6 +3,8 @@
  *                         of a block of sweeps and the walk over them;
  *   cw_current_cpu        the calling thread's CPU, which samplers keeps its
  *                         helper thread off;
+ *   cw_ziggurat_check     whether cw_draw's normals can run, which _native
+ *                         asks when it loads the library;
  *   cw_char_fn            Phi_n(u, v), verification.char_fn;
  *   cw_inner_cos          the inner u-rule of the Fourier inversion,
  *                         verification._inner_cos_integral;
@@ -18,9 +20,12 @@
  *
  * The sweep entries allocate nothing: the caller owns the draw buffers and
  * the outputs.  cw_draw draws the random numbers of a block of sweeps on the
- * chain's own numpy bit generator, through the functions
- * numpy.random.Generator calls, so the stream is the one the Python API
- * would consume: per sweep n sites, n proposal normals and n acceptance
+ * chain's own numpy bit generator: the sites and uniforms through the
+ * functions numpy.random.Generator calls, and each normal by the one-word
+ * fast path of numpy's ziggurat, which takes about 99 % of words, with any
+ * other word replayed into numpy's own random_standard_normal (cw_normal).
+ * The stream is the one the Python API would consume, value for value and
+ * word for word: per sweep n sites, n proposal normals and n acceptance
  * uniforms as integers(0, n, size=n), standard_normal(n) and random(n) give
  * them, in that order, and then, for each of the sweep's `moves`
  * translations x -> x + delta 1, delta = d z, its z as standard_normal(1)
@@ -64,8 +69,181 @@
 /* From numpy's static libnpyrandom (numpy/random/lib). */
 void random_bounded_uint64_fill(bitgen_t *state, uint64_t off, uint64_t rng, intptr_t cnt,
                                 bool use_masked, uint64_t *out);
-void random_standard_normal_fill(bitgen_t *state, intptr_t cnt, double *out);
+double random_standard_normal(bitgen_t *state);
 void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
+
+/* The fast path of numpy's ziggurat normal (Marsaglia and Tsang, J. Stat.
+ * Softw. 5(8), 2000): a word r with idx = r & 0xff, sign bit 8 and
+ * rabs = bits 9-60 gives +-rabs wi[idx] when rabs < ki[idx], and nothing
+ * more is drawn.  cw_read_ziggurat reads ki and wi off the linked
+ * random_standard_normal when the library is loaded. */
+#define CW_RABS_BITS 52
+static uint64_t cw_ki[256];
+static double cw_wi[256];
+/* -1 once the tables are read and checked, -2 before; else the first idx
+ * at which random_standard_normal did not behave as the fast path assumes */
+static int64_t cw_ziggurat_idx = -2;
+
+/* A bit generator that hands out `word` first and then, from a splitmix64
+ * sequence, words and doubles in [0, 1), counting every call. */
+typedef struct {
+    uint64_t word, mix;
+    int64_t calls;
+} cw_probe;
+
+static uint64_t cw_probe_u64(void *st)
+{
+    cw_probe *p = st;
+    if (p->calls++ == 0) {
+        return p->word;
+    }
+    uint64_t z = (p->mix += UINT64_C(0x9E3779B97F4A7C15));
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    return z ^ (z >> 31);
+}
+
+static uint32_t cw_probe_u32(void *st)
+{
+    return (uint32_t)(cw_probe_u64(st) >> 32);
+}
+
+static double cw_probe_double(void *st)
+{
+    return (double)(cw_probe_u64(st) >> 11) * 0x1p-53;
+}
+
+/* Whether random_standard_normal takes the word of (idx, sign, rabs), with
+ * bits 61-63 set to top, as its only draw; sets *x to what it returns. */
+static bool cw_probe_normal(uint64_t idx, uint64_t sign, uint64_t rabs, uint64_t top, double *x)
+{
+    cw_probe p = {idx | sign << 8 | rabs << 9 | top << 61, 0, 0};
+    bitgen_t probe = {&p, cw_probe_u64, cw_probe_u32, cw_probe_double, cw_probe_u64};
+    *x = random_standard_normal(&probe);
+    return p.calls == 1;
+}
+
+/* Whether the fast path's value for (sign, rabs, w) is bit for bit x. */
+static bool cw_is_fast_value(double x, uint64_t sign, uint64_t rabs, double w)
+{
+    double y = (double)rabs * w;
+    return memcmp(&x, &(double){sign ? -y : y}, sizeof x) == 0;
+}
+
+/* For each idx, bisects for the least rabs that random_standard_normal does
+ * not take as its only draw, ki[idx], and reads wi[idx] off rabs = 1.  Then
+ * checks the assumption: below ki the word, whatever its sign and top bits,
+ * is the only draw and gives +-rabs wi; at ki and at the largest rabs it is
+ * not the only draw. */
+__attribute__((constructor)) static void cw_read_ziggurat(void)
+{
+    const uint64_t end = UINT64_C(1) << CW_RABS_BITS;
+    double x;
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        uint64_t lo = 0, hi = end;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            if (cw_probe_normal(idx, 0, mid, 0, &x)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        uint64_t k = lo;
+        double w = 0.0;
+        if (k > 1) {
+            cw_probe_normal(idx, 0, 1, 0, &w);
+        }
+        bool holds = true;
+        uint64_t below[] = {0, 1, k / 2, k - 1};
+        for (size_t i = 0; i < 4 && below[i] < k; i++) {
+            for (uint64_t sign = 0; sign < 2; sign++) {
+                bool fast = cw_probe_normal(idx, sign, below[i], 7 * sign, &x);
+                holds = holds && fast && cw_is_fast_value(x, sign, below[i], w);
+            }
+        }
+        if (k < end) {
+            holds = holds && !cw_probe_normal(idx, 1, k, 7, &x) && !cw_probe_normal(idx, 1, end - 1, 7, &x);
+        }
+        if (!holds) {
+            cw_ziggurat_idx = (int64_t)idx;
+            return;
+        }
+        cw_ki[idx] = k;
+        cw_wi[idx] = w;
+    }
+    cw_ziggurat_idx = -1;
+}
+
+/* -1 when cw_draw's normals can run: the library read numpy's ziggurat
+ * tables and checked them; else the idx at which the check failed. */
+int64_t cw_ziggurat_check(void)
+{
+    return cw_ziggurat_idx;
+}
+
+/* Hands out `word` first and then the chain's own draws. */
+typedef struct {
+    bitgen_t *chain;
+    uint64_t word;
+    bool replayed;
+} cw_replay;
+
+static uint64_t cw_replay_u64(void *st)
+{
+    cw_replay *p = st;
+    if (!p->replayed) {
+        p->replayed = true;
+        return p->word;
+    }
+    return p->chain->next_uint64(p->chain->state);
+}
+
+static uint32_t cw_replay_u32(void *st)
+{
+    cw_replay *p = st;
+    return p->chain->next_uint32(p->chain->state);
+}
+
+static double cw_replay_double(void *st)
+{
+    cw_replay *p = st;
+    return p->chain->next_double(p->chain->state);
+}
+
+static uint64_t cw_replay_raw(void *st)
+{
+    cw_replay *p = st;
+    return p->chain->next_raw(p->chain->state);
+}
+
+/* numpy's random_standard_normal on the chain's generator, whose first word
+ * r has already been drawn: the wedge and the tail run numpy's own code. */
+__attribute__((noinline)) static double cw_normal_replay(bitgen_t *bitgen, uint64_t r)
+{
+    cw_replay p = {bitgen, r, false};
+    bitgen_t replay = {&p, cw_replay_u64, cw_replay_u32, cw_replay_double, cw_replay_raw};
+    return random_standard_normal(&replay);
+}
+
+/* One standard normal from the chain's generator, the draws and the value
+ * of numpy's random_standard_normal: the fast path here, every other word
+ * replayed into numpy. */
+static inline double cw_normal(bitgen_t *bitgen)
+{
+    uint64_t r = bitgen->next_uint64(bitgen->state);
+    uint64_t idx = r & 0xff;
+    uint64_t rabs = (r >> 9) & ((UINT64_C(1) << CW_RABS_BITS) - 1);
+    if (rabs < cw_ki[idx]) {
+        uint64_t bits;
+        double x = (double)rabs * cw_wi[idx];
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= (r & 0x100) << 55;
+        memcpy(&x, &bits, sizeof x);
+        return x;
+    }
+    return cw_normal_replay(bitgen, r);
+}
 
 /* Whether the Metropolis rule with uniform u accepts the move from (s, t) to
  * (s_new, t_new): the log ratio of exp(s^2/(2t) - t/(2 sigma^2)) is
@@ -143,10 +321,12 @@ void cw_draw(bitgen_t *bitgen, int64_t n, int64_t sweeps, int64_t moves, uint64_
 {
     for (int64_t i = 0; i < sweeps; i++) {
         random_bounded_uint64_fill(bitgen, 0, (uint64_t)(n - 1), n, false, sites + i * n);
-        random_standard_normal_fill(bitgen, n, normals + i * n);
+        for (int64_t k = i * n; k < (i + 1) * n; k++) {
+            normals[k] = cw_normal(bitgen);
+        }
         random_standard_uniform_fill(bitgen, n, uniforms + i * n);
         for (int64_t j = 2 * i * moves; j < 2 * (i + 1) * moves; j += 2) {
-            random_standard_normal_fill(bitgen, 1, zu + j);
+            zu[j] = cw_normal(bitgen);
             random_standard_uniform_fill(bitgen, 1, zu + j + 1);
         }
     }

@@ -8,15 +8,23 @@ which ``density_closed_form`` calls too) and the Gaussian-integral oracle's.
 
 The library is compiled with the C compiler ``cc`` against numpy's shipped
 static ``numpy/random/lib/libnpyrandom.a``, so its draws run through the same
-C samplers as ``numpy.random.Generator``.  It is cached in this package's
-``__pycache__`` under a name keyed by the sha256 of the source, the compiler
-flags and the numpy version; a cache hit never runs the compiler.  Each build
-writes a private temporary file and moves it into place with ``os.replace``,
-so processes that build into the same cache at once all end up loading a
-complete library, and then removes every other ``_kernel-*.so`` there: the
-builds of earlier sources, flags or numpy versions.  A process that has one
-of them loaded keeps its mapping.  Nothing falls back to Python: a missing
-compiler or a failed build raises :class:`KernelBuildError`.
+C samplers as ``numpy.random.Generator``; only the one-word fast path of the
+ziggurat normal is the kernel's own.  When the library loads, a probe reads
+that fast path's 256 thresholds and widths off the linked
+``random_standard_normal``, by a bit generator that hands it chosen words and
+counts its draws, and checks at every layer that the words below the
+threshold are its only draw and give the fast path's value; ``kernel()``
+raises :class:`KernelBuildError` when they are not.
+
+The library is cached in this package's ``__pycache__`` under a name keyed
+by the sha256 of the source, the compiler flags and the numpy version; a
+cache hit never runs the compiler.  Each build writes a private temporary
+file and moves it into place with ``os.replace``, so processes that build
+into the same cache at once all end up loading a complete library, and then
+removes every other ``_kernel-*.so`` there: the builds of earlier sources,
+flags or numpy versions.  A process that has one of them loaded keeps its
+mapping.  Nothing falls back to Python: a missing compiler or a failed build
+raises :class:`KernelBuildError`.
 """
 
 from __future__ import annotations
@@ -42,8 +50,9 @@ _lib: ctypes.CDLL | None = None
 
 
 class KernelBuildError(RuntimeError):
-    """The compiled kernels could not be built; the message carries the
-    compiler's stderr."""
+    """The compiled kernels could not be built, and the message carries the
+    compiler's stderr; or the linked numpy's normal sampler failed the
+    kernel's probe."""
 
 
 def _library_path() -> Path:
@@ -91,6 +100,14 @@ def kernel() -> ctypes.CDLL:
             _build(path)
         lib = ctypes.CDLL(str(path))
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        lib.cw_ziggurat_check.argtypes = []
+        lib.cw_ziggurat_check.restype = i64
+        idx = lib.cw_ziggurat_check()
+        if idx != -1:
+            raise KernelBuildError(
+                f"numpy {np.__version__}'s random_standard_normal does not take the ziggurat fast path "
+                f"that {SOURCE.name} assumes (first at idx {idx})"
+            )
         lib.cw_draw.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, ptr]
         lib.cw_walk.argtypes = [ptr, i64, f64, f64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
         lib.cw_draw.restype = lib.cw_walk.restype = None

@@ -21,8 +21,10 @@ RNG streams: every chain owns a ``numpy`` Philox generator seeded with
 is part of the reproducibility contract: same (seed, chain_id) means the same
 stream, and distinct chain ids give statistically independent streams.
 Per sweep the draws come in three blocks, n sites, n proposal normals and n
-acceptance uniforms, which the kernel takes from the chain's bit generator
-through numpy's own C samplers: the stream is the one
+acceptance uniforms, which the kernel takes from the chain's bit generator:
+sites and uniforms through numpy's own C samplers, and normals by the
+one-word fast path of numpy's ziggurat, with every other word handed back to
+numpy's ``random_standard_normal``.  The stream is the one
 ``integers(0, n, size=n)``, ``standard_normal(n)`` and ``random(n)`` give.
 When ``SamplerConfig.translate_scale`` is positive, each sweep ends with
 TRANSLATE_MOVES translation moves, whose draws follow the three blocks: one

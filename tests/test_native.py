@@ -177,6 +177,54 @@ class TestSignatures:
         assert (function.restype is None) == void
 
 
+def draw_and_compare(bit_generator, n, sweeps, moves):
+    """Draws `sweeps` sweeps with cw_draw and checks its buffers and the
+    generator's state afterwards against the Generator API's draws, bit for
+    bit; returns the proposal normals."""
+    drawn, expected = (np.random.Generator(bit_generator(20261020)) for _ in range(2))
+    for rng in (drawn, expected):
+        rng.integers(0, 7)  # leaves a buffered 32-bit half word where the generator has one
+    assert drawn.bit_generator.state.get("has_uint32", 1) == 1
+    sites, normals, uniforms = np.empty(sweeps * n, np.uint64), np.empty(sweeps * n), np.empty(sweeps * n)
+    zu = np.empty(max(1, 2 * sweeps * moves))
+    _native.kernel().cw_draw(
+        drawn.bit_generator.ctypes.bit_generator.value, n, sweeps, moves,
+        sites.ctypes.data, normals.ctypes.data, uniforms.ctypes.data, zu.ctypes.data,
+    )
+    want_sites, want_normals, want_uniforms, want_zu = [], [], [], [np.empty(0)]
+    for _ in range(sweeps):
+        want_sites.append(expected.integers(0, n, size=n))
+        want_normals.append(expected.standard_normal(n))
+        want_uniforms.append(expected.random(n))
+        for _ in range(moves):
+            want_zu += [expected.standard_normal(1), expected.random(1)]
+    assert np.array_equal(sites, np.concatenate(want_sites))
+    # bit patterns, so that -0.0 and 0.0 differ
+    assert normals.tobytes() == np.concatenate(want_normals).tobytes()
+    assert uniforms.tobytes() == np.concatenate(want_uniforms).tobytes()
+    assert zu[: 2 * sweeps * moves].tobytes() == np.concatenate(want_zu).tobytes()
+    assert repr(drawn.bit_generator.state) == repr(expected.bit_generator.state)
+    return normals
+
+
+# The start of the tail of numpy's ziggurat normal: every |z| beyond it comes
+# from a word the kernel replays into numpy's random_standard_normal.
+ZIGGURAT_TAIL = 3.6541528853610088
+
+
+class TestDrawMatchesGeneratorApi:
+    @pytest.mark.parametrize("moves", [0, 8])
+    @pytest.mark.parametrize("n", [1, 3, 16, 257])
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.MT19937, np.random.SFC64])
+    def test_buffers_and_state_match_the_generator_api(self, bit_generator, n, moves):
+        draw_and_compare(bit_generator, n, 30, moves)
+
+    def test_a_million_normals_reach_the_tail(self):
+        normals = draw_and_compare(np.random.Philox, 256, 4100, 8)
+        assert normals.size >= 2**20
+        assert np.abs(normals).max() > ZIGGURAT_TAIL
+
+
 class TestBuildFailure:
     @pytest.fixture
     def no_kernel(self, tmp_path, monkeypatch):

@@ -719,6 +719,29 @@ class TestStationarityWithTranslation:
         assert ks_t <= bound and ks_c <= bound, (ks_t, ks_c, bound)
 
 
+class TestTemperatureLaw:
+    # T/sigma^2 ~ chi^2_n exactly under the tilted law, with or without the
+    # translation move, so a KS of the chain's t against it checks the
+    # sampled law apart from the byte-level oracle tests; an error in the
+    # normals that keeps them symmetric leaves that law as it is.
+    # tau_int(t) is 5-6.5 sweeps at n = 16..256 either way; thinned by 15
+    # sweeps, t's records keep a tau_int of at most about 1.2, and the ESS
+    # taken is half the records.  False alarm at most 1e-3 per case (DKW).
+    RECORDS, THIN, BURN = 3000, 15, 1000
+    ALPHA = 1e-3
+
+    @pytest.mark.parametrize("translate_scale", [0.0, 1.5])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_t_follows_chi_square_n(self, n, translate_scale):
+        cfg = SamplerConfig(
+            seed=2024, burn_in_sweeps=self.BURN, thin_sweeps=self.THIN, translate_scale=translate_scale
+        )
+        records = run(init_chain(ModelParams(n, 1.0), cfg), self.BURN + self.THIN * self.RECORDS)
+        ks = ks_statistic(np.sort([r.t for r in records]), lambda q: gammainc(n / 2.0, q / 2.0))
+        bound = math.sqrt(math.log(2.0 / self.ALPHA) / 2.0) / math.sqrt(self.RECORDS / 2)
+        assert ks <= bound, (ks, bound)
+
+
 class TestNuStarSampler:
     def test_always_strictly_in_support(self):
         params = ModelParams(6, 1.0)
