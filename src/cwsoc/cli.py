@@ -14,11 +14,10 @@ those of every earlier release.  ``convergence`` runs one chain per n, one
 after another on the calling thread, and ends every sweep with
 samplers.TRANSLATE_MOVES translation moves of scale TRANSLATE_SCALE, recorded
 in the manifest as the sampler's ``translate_moves`` and ``translate_scale``;
-Ctrl-C stops it at once too.  Where a CPU is left spare, as one is by
-``convergence`` or by fewer ``simulate`` chains than CPUs, ``samplers.run``
-has a helper thread draw each chain's random numbers ahead of its walk, and
-otherwise the chain's thread draws them itself; the draws and so every output
-byte are the same on one CPU or many.
+Ctrl-C stops it at once too.  Whether a helper thread on a spare CPU or the
+chain's own thread draws each block of a chain's random numbers is the rule
+in ``samplers.run``'s docstring; the draws and so every output byte are the
+same on one CPU or many.
 """
 
 from __future__ import annotations

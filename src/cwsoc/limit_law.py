@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, gammainc, gammaincc, gammaincinv, gammaln
+from scipy.special import gamma, gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
 
 from .model import DomainError, is_integer, positive_real
 
@@ -85,9 +85,13 @@ class QuarticLaw:
         """Inverse CDF +-sigma (4 P^{-1}(1/4, |2p - 1|))^{1/4}; elementwise on arrays.
 
         The upper-half probability max(p, 1 - p) is what gets inverted, so
-        quantile(1 - p) == -quantile(p) holds exactly.  The price is the far
-        tails: 1 - p rounds to 1 for p below about 1.1e-16, whose quantile is
-        then -inf (and +inf for p that close to 1).
+        quantile(1 - p) == -quantile(p) holds exactly for 2^-10 <= p <=
+        1 - 2^-10.  Below 2^-10 the lower tail, the inverse of cdf's
+        Q(1/4, z^4/4)/2, is -sigma (4 Q^{-1}(1/4, 2p))^{1/4} instead: |2p - 1|
+        would lose its digits to cancellation (-inf at cdf(-3.5 sigma)).  The
+        two forms give the same bits at p = 2^-10.  The far upper tail keeps
+        the loss: 1 - p rounds to 1 for p within about 1.1e-16 of 1, whose
+        quantile is then +inf.
         """
         # Here and in cdf, products and square roots stand in for numpy's
         # power, which can round differently on arrays than on scalars.
@@ -95,7 +99,8 @@ class QuarticLaw:
         if not np.all((probs > 0.0) & (probs < 1.0)):
             raise DomainError(f"quantile requires p in (0, 1), got {p!r}")
         upper = np.maximum(probs, 1.0 - probs)
-        magnitude = self.sigma * np.sqrt(np.sqrt(4.0 * gammaincinv(0.25, 2.0 * upper - 1.0)))
+        w = np.where(probs < 2.0**-10, gammainccinv(0.25, 2.0 * probs), gammaincinv(0.25, 2.0 * upper - 1.0))
+        magnitude = self.sigma * np.sqrt(np.sqrt(4.0 * w))
         return np.where(probs < 0.5, -magnitude, magnitude)[()]
 
     def sample(self, rng: np.random.Generator, size: int | None = None):

@@ -8,11 +8,9 @@ Two independent routes at the statistics level:
   first use).  ``run`` allocates its draw buffers, per-sweep (s, t) outputs
   and accepted counts once per call, and runs the sweeps in blocks of about
   DRAW_AHEAD_PROPOSALS proposals, each drawn in full (``cw_draw``) and then
-  walked (``cw_walk``).  When the process has a spare CPU (fewer busy
-  sampler threads, chain threads inside ``run`` and drawing helpers, than
-  ``usable_cpus()``), a helper thread draws the chain's next blocks while the
-  chain's thread walks the current one; otherwise the chain's thread draws
-  each block itself;
+  walked (``cw_walk``).  Who draws each block, a helper thread on a spare
+  CPU or the chain's own thread, is the one rule stated in ``run``'s
+  docstring;
 * exact iid draws of (s, t) from the untilted product law, reweighted by
   exp(s^2/(2t)) in a self-normalized importance-sampling estimator.
 
@@ -31,9 +29,8 @@ TRANSLATE_MOVES translation moves, whose draws follow the three blocks: one
 normal and then one uniform per move, as ``standard_normal(1)`` and
 ``random(1)`` give them, in the order z1, u1, z2, u2, ....  With
 ``translate_scale`` 0 nothing more is drawn, so the stream is unchanged.
-A helper draws the same numbers in the same order, holding the bit
-generator's lock, so the stream, every output and the generator's state
-after ``run`` are the same whoever draws.
+The stream, every output and the generator's state after ``run`` are the
+same whoever draws.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ import math
 import os
 import threading
 import warnings
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -208,11 +204,6 @@ class _SamplerThreads:
         with self._lock:
             self._busy -= 1
 
-    def exceed(self, cpus: int) -> bool:
-        """Whether more than `cpus` threads are busy."""
-        with self._lock:
-            return self._busy > cpus
-
 
 _SAMPLER_THREADS = _SamplerThreads()
 
@@ -245,16 +236,18 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
 
     The sweeps run in blocks of at most DRAW_AHEAD_PROPOSALS // n sweeps, none
     running past a resync, each drawn in full and then walked.  Who draws:
-    when the call has more than one block and fewer sampler threads of the
-    process are busy than usable_cpus() (a thread inside run counts, and so
-    does a helper), a helper thread draws up to two blocks ahead while this
-    thread walks; this thread stops feeding it once more threads are busy
-    than there were CPUs at its start, and then draws every later block
-    itself.  Otherwise this thread draws each block itself.  Both make the
-    same draws on the same bit generator in the same order, holding its lock,
-    and the call returns only after the helper has ended: records,
-    configuration, counters and the generator's state are the same either
-    way.
+    this thread draws the first block.  Once block k is drawn, and before it
+    is walked, this thread claims a spare CPU for block k + 1, which succeeds
+    when fewer sampler threads of the process are busy than usable_cpus() (a
+    thread inside run counts, and so does each claim).  With the claim, a
+    helper thread draws block k + 1 into a second set of buffers while this
+    thread walks block k, and the claim is given back once this thread has
+    waited for that draw; without it, this thread draws block k + 1 itself
+    after walking block k.  No block is drawn before the one ahead of it, and
+    every draw holds the bit generator's lock, so the draws are the same
+    numbers in the same order either way; the call returns only after the
+    helper has ended, and records, configuration, counters and the
+    generator's state are the same whoever draws.
 
     Sweep i (1-based, counted from the start of this call) is recorded when
     i > burn_in_sweeps and (i - burn_in_sweeps) is a multiple of thin_sweeps.
@@ -304,42 +297,38 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
         with bit_generator.lock:
             lib.cw_draw(bitgen, n, piece, moves, *buffers)
 
-    buffer_sets = [new_buffers()]
+    pair = [new_buffers()]  # [walked next, drawn ahead]
     helper: ThreadPoolExecutor | None = None
-    queued: deque[Future] = deque()  # the helper's draws of the next blocks, in order
+    ahead: Future | None = None  # the helper's draw of the next block, while its claim is held
     _SAMPLER_THREADS.enter()
     try:
-        if len(sizes) > 1 and _SAMPLER_THREADS.enter(spare_only=True):
-            cpus = usable_cpus()
-            # Left free, the scheduler at times stacks the helper on the chain
-            # thread's CPU, where the two run slower than one thread drawing and
-            # walking, while another CPU idles: the helper runs on the others.
-            here = lib.cw_current_cpu()
-            others = os.sched_getaffinity(0) - {here} if here >= 0 and hasattr(os, "sched_setaffinity") else set()
-            helper = ThreadPoolExecutor(1, initializer=os.sched_setaffinity if others else None, initargs=(0, others))
-            buffer_sets.append(new_buffers())
-            queued.extend(helper.submit(draw, buffer_sets[k][1], sizes[k]) for k in range(2))
         done = 0
         for k, piece in enumerate(sizes):
-            _, buffers = buffer_sets[k % len(buffer_sets)]
-            if queued:
-                queued.popleft().result()
+            if ahead is None:
+                draw(pair[0][1], piece)
             else:
-                draw(buffers, piece)
+                ahead.result()
+                ahead = None
+                _SAMPLER_THREADS.leave()
+                pair.reverse()
+            if k + 1 < len(sizes) and _SAMPLER_THREADS.enter(spare_only=True):
+                if helper is None:
+                    # Left free, the scheduler at times stacks the helper on the
+                    # chain thread's CPU, where the two run slower than one thread
+                    # drawing and walking, while another CPU idles: the helper
+                    # runs on the others.
+                    here = lib.cw_current_cpu()
+                    pin = here >= 0 and hasattr(os, "sched_setaffinity")
+                    others = os.sched_getaffinity(0) - {here} if pin else set()
+                    helper = ThreadPoolExecutor(
+                        1, initializer=os.sched_setaffinity if others else None, initargs=(0, others)
+                    )
+                    pair.append(new_buffers())
+                ahead = helper.submit(draw, pair[1][1], sizes[k + 1])
             lib.cw_walk(
                 spins, n, chain.s, chain.t, piece, scale, inv_two_sigma_sq, translate, moves,
-                *buffers, *outputs,
+                *pair[0][1], *outputs,
             )
-            if helper is not None:
-                # block k + 2 goes into the buffers just walked; once a block
-                # is not handed over, the helper gets no more
-                if queued and k + 2 < len(sizes) and not _SAMPLER_THREADS.exceed(cpus):
-                    queued.append(helper.submit(draw, buffers, sizes[k + 2]))
-                elif not queued:
-                    helper.shutdown()
-                    helper = None
-                    _SAMPLER_THREADS.leave()
-                    del buffer_sets[1:]  # one set serves this thread from here on
             chain.s, chain.t = float(s_out[piece - 1]), float(t_out[piece - 1])
             chain.sweeps_done += piece
             if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
@@ -365,6 +354,7 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     finally:
         if helper is not None:
             helper.shutdown(cancel_futures=True)  # waits for a draw under way: it holds the bit generator
+        if ahead is not None:
             _SAMPLER_THREADS.leave()
         _SAMPLER_THREADS.leave()
     chain.accepted += int(counts[0])

@@ -237,6 +237,12 @@ class TestQuarticLawQuantile:
                 continue
             assert law.quantile(law.cdf(float(x))) == pytest.approx(float(x), abs=1e-8)
 
+    @pytest.mark.parametrize("x", [-3.0, -3.5, -4.0, -6.0])
+    def test_round_trip_in_the_far_lower_tail(self, x):
+        # cdf(-3.5) is 4.5e-19, which 1 - p cannot resolve
+        law = QuarticLaw(1.0)
+        assert law.quantile(law.cdf(x)) == pytest.approx(x, rel=1e-12)
+
     @pytest.mark.parametrize("p", [0.01, 0.2, 0.37, 0.49])
     def test_symmetry(self, p):
         law = QuarticLaw(1.0)

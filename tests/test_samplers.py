@@ -8,7 +8,9 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, gammaincinv
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import chdtri, gammainc, gammaincinv
 
 from cwsoc import samplers
 from cwsoc.model import DomainError, ModelParams, sum_stats
@@ -431,10 +433,10 @@ class TestRunMatchesPythonOracle:
 
 class CountingKernel:
     """The compiled kernel, with the threads that call cw_draw recorded and
-    after_first_draw, if given, called after the first."""
+    after_draw, if given, called after each with the number of draws so far."""
 
-    def __init__(self, lib, after_first_draw=None):
-        self._lib, self._after_first_draw = lib, after_first_draw
+    def __init__(self, lib, after_draw=None):
+        self._lib, self._after_draw = lib, after_draw
         self.draw_threads = []
 
     def __getattr__(self, name):
@@ -443,8 +445,8 @@ class CountingKernel:
     def cw_draw(self, *args):
         self.draw_threads.append(threading.get_ident())
         self._lib.cw_draw(*args)
-        if self._after_first_draw is not None and len(self.draw_threads) == 1:
-            self._after_first_draw()
+        if self._after_draw is not None:
+            self._after_draw(len(self.draw_threads))
 
 
 class TestDrawAhead:
@@ -455,10 +457,10 @@ class TestDrawAhead:
     def counting(self, monkeypatch):
         """Sets the CPUs and the block size and returns the counting kernel."""
 
-        def setup(cpus, after_first_draw=None):
+        def setup(cpus, after_draw=None):
             monkeypatch.setattr(samplers, "DRAW_AHEAD_PROPOSALS", self.BLOCK_PROPOSALS)
             monkeypatch.setattr(samplers, "usable_cpus", lambda: cpus)
-            lib = CountingKernel(samplers.kernel(), after_first_draw)
+            lib = CountingKernel(samplers.kernel(), after_draw)
             monkeypatch.setattr(samplers, "kernel", lambda: lib)
             return lib
 
@@ -485,9 +487,11 @@ class TestDrawAhead:
         if cpus == 1:
             assert set(lib.draw_threads) == {threading.get_ident()}
         else:
-            # 4 + 4 + 1 sweeps to the resync, then 8 blocks of 4, all drawn by one other thread
+            # 4 + 4 + 1 sweeps to the resync, then 8 blocks of 4: the first
+            # drawn by the chain's thread, the other 10 by one other thread
             assert len(lib.draw_threads) == 11
-            assert set(lib.draw_threads) != {threading.get_ident()} and len(set(lib.draw_threads)) == 1
+            assert lib.draw_threads[0] == threading.get_ident()
+            assert lib.draw_threads[0] not in lib.draw_threads[1:] and len(set(lib.draw_threads[1:])) == 1
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_calls_that_end_mid_block(self, counting, cpus):
@@ -500,11 +504,16 @@ class TestDrawAhead:
         assert (set(lib.draw_threads) != {threading.get_ident()}) == (cpus > 1)
 
     def test_helper_that_stops_early_leaves_the_stream_unchanged(self, counting):
-        # another chain thread starts during the helper's first block, which
-        # leaves 3 busy threads on 2 CPUs: the helper draws the two blocks
-        # queued at the start, and the chain draws the other 9 itself
+        # another chain thread starts during the helper's first draw, block 1,
+        # which leaves no spare CPU of 2 once its claim is given back: the
+        # helper draws block 1 only, and the chain the other 10 itself
         entered = []
-        lib = counting(2, after_first_draw=lambda: entered.append(samplers._SAMPLER_THREADS.enter()))
+
+        def sibling_enters(draws):
+            if draws == 2:
+                entered.append(samplers._SAMPLER_THREADS.enter())
+
+        lib = counting(2, after_draw=sibling_enters)
         compiled, reference = self.chains(1.5)
         try:
             records = run(compiled, 41)
@@ -513,31 +522,71 @@ class TestDrawAhead:
                 samplers._SAMPLER_THREADS.leave()
         assert repr(records) == repr(oracle_run(reference, 41))
         assert_same_chain(compiled, reference)
+        me = threading.get_ident()
+        assert len(lib.draw_threads) == 11 and lib.draw_threads[1] != me
+        assert lib.draw_threads[:1] + lib.draw_threads[2:] == [me] * 10
+
+    @pytest.mark.parametrize("translate_scale", [0.0, 1.5])
+    @pytest.mark.parametrize("released_after", [1, 2, 3, 4])
+    def test_helper_that_starts_mid_call(self, counting, released_after, translate_scale):
+        # a sibling chain thread holds the second of 2 CPUs when the call
+        # starts and leaves after the chain's own draw of block
+        # released_after - 1: the claim for the next block succeeds, and a
+        # helper draws it and every later block, an odd one first for 1 and 3
+        samplers._SAMPLER_THREADS.enter()
+        left = []
+
+        def sibling_leaves(draws):
+            if draws == released_after:
+                samplers._SAMPLER_THREADS.leave()
+                left.append(True)
+
+        lib = counting(2, after_draw=sibling_leaves)
+        compiled, reference = self.chains(translate_scale)
+        try:
+            records = run(compiled, 41)
+        finally:
+            if not left:
+                samplers._SAMPLER_THREADS.leave()
+        assert left == [True]
+        assert repr(records) == repr(oracle_run(reference, 41))
+        assert_same_chain(compiled, reference)
+        me = threading.get_ident()
         assert len(lib.draw_threads) == 11
-        assert lib.draw_threads[0] == lib.draw_threads[1] != threading.get_ident()
-        assert lib.draw_threads[2:] == [threading.get_ident()] * 9
+        assert lib.draw_threads[:released_after] == [me] * released_after
+        helpers = set(lib.draw_threads[released_after:])
+        assert len(helpers) == 1 and me not in helpers
+        assert samplers._SAMPLER_THREADS._busy == 0  # every claim was given back
 
     def test_helper_failure_raised_and_its_cpu_released(self, counting, monkeypatch):
         lib = counting(2)
+        draw, me = lib.cw_draw, threading.get_ident()
 
         def fail(*args):
+            if threading.get_ident() == me:  # the chain's own draw of block 0
+                return draw(*args)
             raise OSError("draw failed")
 
         monkeypatch.setattr(lib, "cw_draw", fail)
         compiled, _ = self.chains(0.0)
         with pytest.raises(OSError, match="draw failed"):
             run(compiled, 41)
+        assert samplers._SAMPLER_THREADS._busy == 0  # every claim was given back
         monkeypatch.delattr(lib, "cw_draw")
-        # both claims were released: the next call finds its spare CPU again
+        # so the next call finds its spare CPU again: block 0 is the chain's
+        # own draw, blocks 1-10 a helper's
+        lib.draw_threads.clear()
         compiled, reference = self.chains(0.0)
         assert repr(run(compiled, 41)) == repr(oracle_run(reference, 41))
-        assert lib.draw_threads != []
+        assert len(lib.draw_threads) == 11 and lib.draw_threads[0] == me
+        helpers = set(lib.draw_threads[1:])
+        assert len(helpers) == 1 and me not in helpers
 
     def test_walk_failure_wakes_a_waiting_helper(self, counting, monkeypatch):
         lib = counting(2)
 
         def walk(*args):
-            # once both buffers are drawn the helper waits for one to come back
+            # the walk of block 0 fails once the helper has drawn block 1
             deadline = time.monotonic() + 10
             while len(lib.draw_threads) < 2 and time.monotonic() < deadline:
                 time.sleep(0.001)
@@ -583,10 +632,11 @@ class TestDrawAhead:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity on this platform")
     def test_helper_runs_off_the_chain_threads_cpu(self, counting, monkeypatch):
         lib = counting(4)
-        draw, masks = lib.cw_draw, []
+        draw, masks, me = lib.cw_draw, [], threading.get_ident()
 
         def recording_draw(*args):
-            masks.append(os.sched_getaffinity(0))
+            if threading.get_ident() != me:  # the helper's draws
+                masks.append(os.sched_getaffinity(0))
             draw(*args)
 
         monkeypatch.setattr(lib, "cw_draw", recording_draw)
@@ -740,6 +790,34 @@ class TestTemperatureLaw:
         ks = ks_statistic(np.sort([r.t for r in records]), lambda q: gammainc(n / 2.0, q / 2.0))
         bound = math.sqrt(math.log(2.0 / self.ALPHA) / 2.0) / math.sqrt(self.RECORDS / 2)
         assert ks <= bound, (ks, bound)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_c_is_independent_of_t(self, n, sigma):
+        # C = S/sqrt(nT) has density g_n(c) ~ (1 - c^2)^((n-3)/2) e^(nc^2/2)
+        # and is independent of T: the 4 x 4 cells cut at the exact quartiles
+        # of C (-q, 0, q, q the median of |C|) and of t/sigma^2 ~ chi^2_n each
+        # hold 1/16 of the records.  The chi-square on 15 dof is scaled to the
+        # ESS of half the records; false alarm about 1e-3 per case.  sigma = 2
+        # has its own seed: on the same seed its chain is sigma = 1's scaled.
+        seed = {1.0: 2024, 2.0: 2025}[sigma]
+        cfg = SamplerConfig(seed=seed, burn_in_sweeps=self.BURN, thin_sweeps=self.THIN, translate_scale=1.5)
+        records = run(init_chain(ModelParams(n, sigma), cfg), self.BURN + self.THIN * self.RECORDS)
+        s = np.array([r.s for r in records])
+        t = np.array([r.t for r in records])
+
+        def g(c):
+            return (1.0 - c * c) ** ((n - 3) / 2.0) * math.exp(n * c * c / 2.0)
+
+        half = quad(g, 0.0, 1.0)[0] / 2.0
+        q = brentq(lambda c: quad(g, 0.0, c)[0] - half, 0.0, 1.0, xtol=1e-14)
+        t_edges = 2.0 * gammaincinv(n / 2.0, [0.25, 0.5, 0.75])
+        cells = np.searchsorted([-q, 0.0, q], s / np.sqrt(n * t)), np.searchsorted(t_edges, t / sigma**2)
+        counts = np.zeros((4, 4))
+        np.add.at(counts, cells, 1)
+        expected = self.RECORDS / 16
+        chi2 = float(((counts - expected) ** 2 / expected).sum()) / 2
+        assert chi2 <= chdtri(15, self.ALPHA), chi2
 
 
 class TestNuStarSampler:
