@@ -269,25 +269,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
+def _convergence_row(
+    params: ModelParams, cfg: SamplerConfig, chain_id: int, sweeps: int, law: QuarticLaw
+) -> tuple[int, float, float, float, int]:
+    """One convergence.csv row: n, KS of s_scaled against the limit law, mean and sd of t_scaled."""
+    records = run(init_chain(params, cfg, chain_id=chain_id), sweeps)
+    sigma_sq = params.sigma * params.sigma  # t/n is taken in these units, so its squared deviations cannot overflow
+    s_scaled = np.sort(np.array([rec.s_scaled for rec in records]))
+    t_unit = np.array([rec.t_scaled for rec in records]) / sigma_sq
+    ks = ks_statistic(s_scaled, law.cdf) if records else math.nan
+    mean_t = float(t_unit.mean()) * sigma_sq if records else math.nan
+    sd_t = float(t_unit.std(ddof=1)) * sigma_sq if len(records) > 1 else math.nan
+    return params.n, ks, mean_t, sd_t, len(records)
+
+
 def cmd_convergence(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     sigma, sweeps, cfg = _sampler_settings(
         args, config, sweeps_default=5000, burn_in_default=500, translate_scale=TRANSLATE_SCALE
     )
     law = QuarticLaw(sigma)
-    sigma_sq = sigma * sigma  # t/n is taken in these units, so its squared deviations cannot overflow
 
-    # serial, in --n-list order: row k comes from the k-th chain `run` returns
-    rows = []
-    for idx, n in enumerate(args.n_list):
-        chain = init_chain(ModelParams(n=n, sigma=sigma), cfg, chain_id=idx)
-        records = run(chain, sweeps)
-        s_scaled = np.sort(np.array([rec.s_scaled for rec in records]))
-        t_unit = np.array([rec.t_scaled for rec in records]) / sigma_sq
-        ks = ks_statistic(s_scaled, law.cdf) if records else math.nan
-        mean_t = float(t_unit.mean()) * sigma_sq if records else math.nan
-        sd_t = float(t_unit.std(ddof=1)) * sigma_sq if len(records) > 1 else math.nan
-        rows.append((n, ks, mean_t, sd_t, len(records)))
+    # serial, in --n-list order: row k comes from the k-th chain `run` returns;
+    # _convergence_row drops a chain's records before the next chain runs, so
+    # one chain's records are alive at a time
+    rows = [
+        _convergence_row(ModelParams(n=n, sigma=sigma), cfg, idx, sweeps, law)
+        for idx, n in enumerate(args.n_list)
+    ]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

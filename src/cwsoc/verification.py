@@ -461,7 +461,9 @@ def _rescaled_log_terms(n: int, nodes: int) -> np.ndarray:
     column = 0.5 * (n - 3) * np.log(rho) + np.log(ref_weights)
     log_terms = np.multiply.outer(hy, rho)
     log_terms += a[:, None]
-    log_terms -= a[:, None] / log_terms
+    for i in range(0, nodes, 32):  # no grid-sized temporary for the quotient
+        block = log_terms[i:i + 32]
+        block -= a[i:i + 32, None] / block
     log_terms *= -0.5 * n
     log_terms += row[:, None]
     log_terms += column
@@ -595,6 +597,20 @@ def psi_expansion_check(h: float) -> "CheckReport":
     )
 
 
+def _min_over_row_blocks(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], xs: np.ndarray, ys: np.ndarray
+) -> float:
+    """Minimum of f(x[:, None], y[None, :]) over the grid xs x ys, 32 rows at a time.
+
+    No temporary spans the whole grid.  Every element goes through the same
+    elementwise ufunc arithmetic as on the whole grid, and a minimum is exact in
+    any order, so the value is the whole grid's, bit for bit.
+    """
+    yg = ys[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return min(float(f(xs[i:i + 32, None], yg).min()) for i in range(0, xs.size, 32))
+
+
 # psi_grid_min_outside_box: half-width of the box at (0, 1) it leaves out, and
 # its GRID_M x GRID_M grid of the window [0, GRID_X_MAX] x [1e-6, GRID_Y_MAX].
 BOX_DELTA = 0.1
@@ -607,16 +623,15 @@ def psi_grid_min_outside_box() -> float:
     """Minimum of psi over a fine grid of the wedge minus the BOX_DELTA-box at (0, 1).
 
     Beyond the window [0, 6] x [1e-6, 8] psi exceeds 2.9, so the grid minimum
-    is the global one.
+    is the global one.  The grid is taken in blocks of rows (_min_over_row_blocks).
     """
-    xg = np.linspace(0.0, GRID_X_MAX, GRID_M)[:, None]
-    yg = np.linspace(1e-6, GRID_Y_MAX, GRID_M)[None, :]
-    valid = yg > xg
-    outside_box = (np.abs(xg) >= BOX_DELTA) | (np.abs(yg - 1.0) >= BOX_DELTA)
-    mask = valid & outside_box
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = psi_unchecked(xg, yg)
-    return float(np.where(mask, vals, np.inf).min())
+    def psi_outside_box(xg, yg):
+        outside_box = (np.abs(xg) >= BOX_DELTA) | (np.abs(yg - 1.0) >= BOX_DELTA)
+        return np.where((yg > xg) & outside_box, psi_unchecked(xg, yg), np.inf)
+
+    return _min_over_row_blocks(
+        psi_outside_box, np.linspace(0.0, GRID_X_MAX, GRID_M), np.linspace(1e-6, GRID_Y_MAX, GRID_M)
+    )
 
 
 # psi_quadratic_lower_bound_margin: half-width delta* of its box at (0, 1),
@@ -627,13 +642,17 @@ BOUND_GRID_M = 400
 
 def psi_quadratic_lower_bound_margin() -> float:
     """min over the DELTA_STAR-box of [psi - 1/2 - (x^2 + (y-1)^2)/8]; nonnegative
-    means the local quadratic lower bound holds on that box."""
-    xg = np.linspace(0.0, DELTA_STAR, BOUND_GRID_M, endpoint=False)[:, None]
-    yg = np.linspace(1.0 - DELTA_STAR, 1.0 + DELTA_STAR, BOUND_GRID_M + 1)[None, :]
-    valid = yg > xg
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = psi_unchecked(xg, yg) - 0.5 - (xg * xg + (yg - 1.0) ** 2) / 8.0
-    return float(np.where(valid, margin, np.inf).min())
+    means the local quadratic lower bound holds on that box.  The grid is taken
+    in blocks of rows (_min_over_row_blocks)."""
+    def margin(xg, yg):
+        bound = psi_unchecked(xg, yg) - 0.5 - (xg * xg + (yg - 1.0) ** 2) / 8.0
+        return np.where(yg > xg, bound, np.inf)
+
+    return _min_over_row_blocks(
+        margin,
+        np.linspace(0.0, DELTA_STAR, BOUND_GRID_M, endpoint=False),
+        np.linspace(1.0 - DELTA_STAR, 1.0 + DELTA_STAR, BOUND_GRID_M + 1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,28 @@ class TestConvergence:
             "translate_moves": 8, "translate_scale": 1.5,
         }
         assert manifest["params"] == {"n_list": [8, 16], "sigma": 1.0}
+
+    def test_one_chains_records_alive_at_a_time(self, tmp_path, monkeypatch):
+        args = ["convergence", "--n-list", "8,16,8", "--sweeps", "300", "--burn-in", "100", "--seed", "4", "--out"]
+        assert main(args + [str(tmp_path / "plain")]) == 0
+
+        class Records(list):
+            pass
+
+        earlier, alive_at_call = [], []
+        inner = cli.run
+
+        def weakly_held_run(chain, sweeps):
+            alive_at_call.append(sum(ref() is not None for ref in earlier))
+            records = Records(inner(chain, sweeps))
+            earlier.append(weakref.ref(records))
+            return records
+
+        monkeypatch.setattr(cli, "run", weakly_held_run)
+        assert main(args + [str(tmp_path / "wrapped")]) == 0
+        # no earlier chain's records are alive when the next chain runs
+        assert alive_at_call == [0, 0, 0]
+        assert read(tmp_path / "wrapped" / "convergence.csv") == read(tmp_path / "plain" / "convergence.csv")
 
     def test_ctrl_c_stops_a_long_run_at_once(self, tmp_path):
         # the chain runs on the main thread, with a helper drawing ahead where a

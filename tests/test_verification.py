@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,14 @@ from cwsoc.verification import (
     run_suites,
 )
 from cwsoc.verification import (
+    BOUND_GRID_M,
+    BOX_DELTA,
     C_N_NODES,
+    DELTA_STAR,
     FIRST_CYCLE_PANELS,
+    GRID_M,
+    GRID_X_MAX,
+    GRID_Y_MAX,
     LAPLACE_ORDERS,
     LAPLACE_RATIO_NODES,
     PANEL_NODES,
@@ -62,6 +69,7 @@ from cwsoc.verification import (
     _gaussian_integral_by_quadrature,
     _inner_cos_integral,
     _log_rescaled_mass,
+    _min_over_row_blocks,
     _qawf,
     _rescaled_cutoffs,
     _rescaled_log_terms,
@@ -696,6 +704,32 @@ class TestSeparableGridMatchesPsiOracle:
         assert abs(_log_rescaled_mass(n, nodes) - expected) <= max(1e-13, 2.0 * np.spacing(abs(expected)))
 
 
+def whole_grid_log_terms(n, nodes):
+    # _rescaled_log_terms with its quotient taken on the whole grid at once: its oracle
+    x_cut, y_hi = _rescaled_cutoffs(n)
+    ref_nodes, ref_weights = _gauss_legendre(nodes)
+    hx = 0.5 * x_cut
+    rho = ref_nodes + 1.0
+    xt = hx * rho
+    a = xt * xt / math.sqrt(n)
+    hy = 0.5 * (y_hi - a)
+    row = 0.5 * (n - 1) * np.log(hy) + np.log(hx * ref_weights) + math.log(2.0)
+    column = 0.5 * (n - 3) * np.log(rho) + np.log(ref_weights)
+    log_terms = np.multiply.outer(hy, rho)
+    log_terms += a[:, None]
+    log_terms -= a[:, None] / log_terms
+    log_terms *= -0.5 * n
+    log_terms += row[:, None]
+    log_terms += column
+    return log_terms
+
+
+@pytest.mark.parametrize("nodes", [31, 32, 33, C_N_NODES, LAPLACE_RATIO_NODES, int(1.45 * C_N_NODES)])
+@pytest.mark.parametrize("n", [5, 30, 400])
+def test_log_terms_in_row_blocks_keep_the_whole_grid_bits(n, nodes):
+    assert np.array_equal(_rescaled_log_terms(n, nodes), whole_grid_log_terms(n, nodes))
+
+
 class TestGridSumKeepsScipyBits:
     """_log_rescaled_mass's in-place sum against scipy.special.logsumexp of the
     same grid, on the 54 grids of the report: estimate_C_n's two at every
@@ -821,7 +855,64 @@ class TestLaplaceRatio:
         assert abs(r400 - 1.0) < abs(r100 - 1.0)
 
 
+def whole_grid_min_outside_box():
+    # psi_grid_min_outside_box on the whole grid at once: its oracle
+    xg = np.linspace(0.0, GRID_X_MAX, GRID_M)[:, None]
+    yg = np.linspace(1e-6, GRID_Y_MAX, GRID_M)[None, :]
+    valid = yg > xg
+    outside_box = (np.abs(xg) >= BOX_DELTA) | (np.abs(yg - 1.0) >= BOX_DELTA)
+    mask = valid & outside_box
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = psi_unchecked(xg, yg)
+    return float(np.where(mask, vals, np.inf).min())
+
+
+def whole_grid_lower_bound_margin():
+    # psi_quadratic_lower_bound_margin on the whole grid at once: its oracle
+    xg = np.linspace(0.0, DELTA_STAR, BOUND_GRID_M, endpoint=False)[:, None]
+    yg = np.linspace(1.0 - DELTA_STAR, 1.0 + DELTA_STAR, BOUND_GRID_M + 1)[None, :]
+    valid = yg > xg
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = psi_unchecked(xg, yg) - 0.5 - (xg * xg + (yg - 1.0) ** 2) / 8.0
+    return float(np.where(valid, margin, np.inf).min())
+
+
+PSI_GRID_CHECKS = [
+    (psi_grid_min_outside_box, whole_grid_min_outside_box),
+    (psi_quadratic_lower_bound_margin, whole_grid_lower_bound_margin),
+]
+
+
 class TestPsiGeometry:
+    @pytest.mark.parametrize("check, oracle", PSI_GRID_CHECKS)
+    def test_row_blocks_keep_the_whole_grid_bits(self, check, oracle):
+        assert check() == oracle()
+
+    @pytest.mark.parametrize("check", [check for check, _ in PSI_GRID_CHECKS])
+    def test_no_temporary_spans_the_whole_grid(self, check):
+        # the oracles' whole-grid temporaries peak at about 9.7 MB and 4.0 MB
+        check()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 65])
+    def test_row_blocks_cover_every_row(self, rows):
+        # the grid's minimum put in each row in turn, a last partial block included
+        rng = np.random.default_rng(rows)
+        for row in range(rows):
+            vals = rng.random((rows, 7))
+            vals[row, 3] = -1.0
+            got = _min_over_row_blocks(
+                lambda xg, yg: vals[xg.astype(int), yg.astype(int)], np.arange(rows, dtype=float), np.arange(7.0)
+            )
+            assert got == -1.0, row
+
     def test_expansion_finite_differences(self):
         (g_x, g_y), (h_xx, h_yy, h_xy) = psi_quadratic_expansion(1e-4)
         assert abs(g_x) <= 1e-6 and abs(g_y) <= 1e-6
