@@ -3,8 +3,9 @@
  *                         of a block of sweeps and the walk over them;
  *   cw_current_cpu        the calling thread's CPU, which samplers keeps its
  *                         helper thread off;
- *   cw_ziggurat_check     whether cw_draw's normals can run, which _native
- *                         asks when it loads the library;
+ *   cw_ziggurat_check(inner)
+ *                         reads and checks the ziggurat tables of cw_draw's
+ *                         normals, which _native asks once per load;
  *   cw_char_fn            Phi_n(u, v), verification.char_fn;
  *   cw_inner_cos          the inner u-rule of the Fourier inversion,
  *                         verification._inner_cos_integral;
@@ -34,6 +35,9 @@
  * nothing more is drawn.  cw_walk runs the sweeps on those draws; it touches
  * no bit generator, so one thread can walk a block while another draws the
  * next.
+ * That replay and cw_ziggurat_check's probes share one bit-generator shim,
+ * cw_replay: a chosen first word, then the draws of another generator, with
+ * every call counted.
  *
  * cw_walk's static helper cw_metropolis runs one single-site random-walk
  * step per drawn (site, normal, uniform) triple, and cw_translate runs the
@@ -75,51 +79,64 @@ void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
 /* The fast path of numpy's ziggurat normal (Marsaglia and Tsang, J. Stat.
  * Softw. 5(8), 2000): a word r with idx = r & 0xff, sign bit 8 and
  * rabs = bits 9-60 gives +-rabs wi[idx] when rabs < ki[idx], and nothing
- * more is drawn.  cw_read_ziggurat reads ki and wi off the linked
- * random_standard_normal when the library is loaded. */
+ * more is drawn.  cw_ziggurat_check reads ki and wi off the linked
+ * random_standard_normal; until it has, ki is 0 and every word is replayed. */
 #define CW_RABS_BITS 52
 static uint64_t cw_ki[256];
 static double cw_wi[256];
-/* -1 once the tables are read and checked, -2 before; else the first idx
- * at which random_standard_normal did not behave as the fast path assumes */
-static int64_t cw_ziggurat_idx = -2;
 
-/* A bit generator that hands out `word` first and then, from a splitmix64
- * sequence, words and doubles in [0, 1), counting every call. */
+/* A bit generator that hands out `word` first and then the draws of
+ * `inner`, counting every call. */
 typedef struct {
-    uint64_t word, mix;
+    bitgen_t *inner;
+    uint64_t word;
     int64_t calls;
-} cw_probe;
+} cw_replay;
 
-static uint64_t cw_probe_u64(void *st)
+static uint64_t cw_replay_u64(void *st)
 {
-    cw_probe *p = st;
+    cw_replay *p = st;
     if (p->calls++ == 0) {
         return p->word;
     }
-    uint64_t z = (p->mix += UINT64_C(0x9E3779B97F4A7C15));
-    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
-    return z ^ (z >> 31);
+    return p->inner->next_uint64(p->inner->state);
 }
 
-static uint32_t cw_probe_u32(void *st)
+static uint32_t cw_replay_u32(void *st)
 {
-    return (uint32_t)(cw_probe_u64(st) >> 32);
+    cw_replay *p = st;
+    p->calls++;
+    return p->inner->next_uint32(p->inner->state);
 }
 
-static double cw_probe_double(void *st)
+static double cw_replay_double(void *st)
 {
-    return (double)(cw_probe_u64(st) >> 11) * 0x1p-53;
+    cw_replay *p = st;
+    p->calls++;
+    return p->inner->next_double(p->inner->state);
+}
+
+static uint64_t cw_replay_raw(void *st)
+{
+    cw_replay *p = st;
+    p->calls++;
+    return p->inner->next_raw(p->inner->state);
+}
+
+/* numpy's random_standard_normal on the replay p: the wedge and the tail
+ * run numpy's own code. */
+__attribute__((noinline)) static double cw_replay_normal(cw_replay *p)
+{
+    bitgen_t replay = {p, cw_replay_u64, cw_replay_u32, cw_replay_double, cw_replay_raw};
+    return random_standard_normal(&replay);
 }
 
 /* Whether random_standard_normal takes the word of (idx, sign, rabs), with
  * bits 61-63 set to top, as its only draw; sets *x to what it returns. */
-static bool cw_probe_normal(uint64_t idx, uint64_t sign, uint64_t rabs, uint64_t top, double *x)
+static bool cw_probe_normal(bitgen_t *inner, uint64_t idx, uint64_t sign, uint64_t rabs, uint64_t top, double *x)
 {
-    cw_probe p = {idx | sign << 8 | rabs << 9 | top << 61, 0, 0};
-    bitgen_t probe = {&p, cw_probe_u64, cw_probe_u32, cw_probe_double, cw_probe_u64};
-    *x = random_standard_normal(&probe);
+    cw_replay p = {inner, idx | sign << 8 | rabs << 9 | top << 61, 0};
+    *x = cw_replay_normal(&p);
     return p.calls == 1;
 }
 
@@ -130,12 +147,14 @@ static bool cw_is_fast_value(double x, uint64_t sign, uint64_t rabs, double w)
     return memcmp(&x, &(double){sign ? -y : y}, sizeof x) == 0;
 }
 
-/* For each idx, bisects for the least rabs that random_standard_normal does
- * not take as its only draw, ki[idx], and reads wi[idx] off rabs = 1.  Then
- * checks the assumption: below ki the word, whatever its sign and top bits,
- * is the only draw and gives +-rabs wi; at ki and at the largest rabs it is
- * not the only draw. */
-__attribute__((constructor)) static void cw_read_ziggurat(void)
+/* Reads ki and wi off random_standard_normal, with `inner` supplying every
+ * draw after a probed word: for each idx, bisects for the least rabs that it
+ * does not take as its only draw, ki[idx], and reads wi[idx] off rabs = 1.
+ * Then checks the assumption: below ki the word, whatever its sign and top
+ * bits, is the only draw and gives +-rabs wi; at ki and at the largest rabs
+ * it is not the only draw.  Returns -1 when cw_draw's normals can run, else
+ * the idx at which the check failed. */
+int64_t cw_ziggurat_check(bitgen_t *inner)
 {
     const uint64_t end = UINT64_C(1) << CW_RABS_BITS;
     double x;
@@ -143,7 +162,7 @@ __attribute__((constructor)) static void cw_read_ziggurat(void)
         uint64_t lo = 0, hi = end;
         while (lo < hi) {
             uint64_t mid = lo + (hi - lo) / 2;
-            if (cw_probe_normal(idx, 0, mid, 0, &x)) {
+            if (cw_probe_normal(inner, idx, 0, mid, 0, &x)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -152,78 +171,27 @@ __attribute__((constructor)) static void cw_read_ziggurat(void)
         uint64_t k = lo;
         double w = 0.0;
         if (k > 1) {
-            cw_probe_normal(idx, 0, 1, 0, &w);
+            cw_probe_normal(inner, idx, 0, 1, 0, &w);
         }
         bool holds = true;
         uint64_t below[] = {0, 1, k / 2, k - 1};
         for (size_t i = 0; i < 4 && below[i] < k; i++) {
             for (uint64_t sign = 0; sign < 2; sign++) {
-                bool fast = cw_probe_normal(idx, sign, below[i], 7 * sign, &x);
+                bool fast = cw_probe_normal(inner, idx, sign, below[i], 7 * sign, &x);
                 holds = holds && fast && cw_is_fast_value(x, sign, below[i], w);
             }
         }
         if (k < end) {
-            holds = holds && !cw_probe_normal(idx, 1, k, 7, &x) && !cw_probe_normal(idx, 1, end - 1, 7, &x);
+            holds = holds && !cw_probe_normal(inner, idx, 1, k, 7, &x)
+                    && !cw_probe_normal(inner, idx, 1, end - 1, 7, &x);
         }
         if (!holds) {
-            cw_ziggurat_idx = (int64_t)idx;
-            return;
+            return (int64_t)idx;
         }
         cw_ki[idx] = k;
         cw_wi[idx] = w;
     }
-    cw_ziggurat_idx = -1;
-}
-
-/* -1 when cw_draw's normals can run: the library read numpy's ziggurat
- * tables and checked them; else the idx at which the check failed. */
-int64_t cw_ziggurat_check(void)
-{
-    return cw_ziggurat_idx;
-}
-
-/* Hands out `word` first and then the chain's own draws. */
-typedef struct {
-    bitgen_t *chain;
-    uint64_t word;
-    bool replayed;
-} cw_replay;
-
-static uint64_t cw_replay_u64(void *st)
-{
-    cw_replay *p = st;
-    if (!p->replayed) {
-        p->replayed = true;
-        return p->word;
-    }
-    return p->chain->next_uint64(p->chain->state);
-}
-
-static uint32_t cw_replay_u32(void *st)
-{
-    cw_replay *p = st;
-    return p->chain->next_uint32(p->chain->state);
-}
-
-static double cw_replay_double(void *st)
-{
-    cw_replay *p = st;
-    return p->chain->next_double(p->chain->state);
-}
-
-static uint64_t cw_replay_raw(void *st)
-{
-    cw_replay *p = st;
-    return p->chain->next_raw(p->chain->state);
-}
-
-/* numpy's random_standard_normal on the chain's generator, whose first word
- * r has already been drawn: the wedge and the tail run numpy's own code. */
-__attribute__((noinline)) static double cw_normal_replay(bitgen_t *bitgen, uint64_t r)
-{
-    cw_replay p = {bitgen, r, false};
-    bitgen_t replay = {&p, cw_replay_u64, cw_replay_u32, cw_replay_double, cw_replay_raw};
-    return random_standard_normal(&replay);
+    return -1;
 }
 
 /* One standard normal from the chain's generator, the draws and the value
@@ -242,7 +210,7 @@ static inline double cw_normal(bitgen_t *bitgen)
         memcpy(&x, &bits, sizeof x);
         return x;
     }
-    return cw_normal_replay(bitgen, r);
+    return cw_replay_normal(&(cw_replay){bitgen, r, 0});
 }
 
 /* Whether the Metropolis rule with uniform u accepts the move from (s, t) to

@@ -9,12 +9,16 @@ which ``density_closed_form`` calls too) and the Gaussian-integral oracle's.
 The library is compiled with the C compiler ``cc`` against numpy's shipped
 static ``numpy/random/lib/libnpyrandom.a``, so its draws run through the same
 C samplers as ``numpy.random.Generator``; only the one-word fast path of the
-ziggurat normal is the kernel's own.  When the library loads, a probe reads
-that fast path's 256 thresholds and widths off the linked
+ziggurat normal is the kernel's own.  ``kernel()`` builds, loads, checks and
+declares the library once per process, under a lock, so that the chain
+threads of a cold ``simulate --chains 2`` neither build twice nor draw while
+the check writes the tables.  The check (``cw_ziggurat_check``) reads that
+fast path's 256 thresholds and widths off the linked
 ``random_standard_normal``, by a bit generator that hands it chosen words and
-counts its draws, and checks at every layer that the words below the
-threshold are its only draw and give the fast path's value; ``kernel()``
-raises :class:`KernelBuildError` when they are not.
+counts its draws, with a private ``PCG64`` supplying the draws after each
+probed word, and checks at every layer that the words below the threshold
+are its only draw and give the fast path's value; ``kernel()`` raises
+:class:`KernelBuildError` when they are not.
 
 The library is cached in this package's ``__pycache__`` under a name keyed
 by the sha256 of the source, the compiler flags and the numpy version; a
@@ -34,6 +38,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +52,7 @@ COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _lib: ctypes.CDLL | None = None
+_load_lock = threading.Lock()
 
 
 class KernelBuildError(RuntimeError):
@@ -95,38 +101,41 @@ def kernel() -> ctypes.CDLL:
     """The loaded kernel library, built first if the cache has no copy."""
     global _lib
     if _lib is None:
-        path = _library_path()
-        if not path.exists():
-            _build(path)
-        lib = ctypes.CDLL(str(path))
-        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        lib.cw_ziggurat_check.argtypes = []
-        lib.cw_ziggurat_check.restype = i64
-        idx = lib.cw_ziggurat_check()
-        if idx != -1:
-            raise KernelBuildError(
-                f"numpy {np.__version__}'s random_standard_normal does not take the ziggurat fast path "
-                f"that {SOURCE.name} assumes (first at idx {idx})"
-            )
-        lib.cw_draw.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, ptr]
-        lib.cw_walk.argtypes = [ptr, i64, f64, f64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-        lib.cw_draw.restype = lib.cw_walk.restype = None
-        lib.cw_current_cpu.argtypes = []
-        lib.cw_current_cpu.restype = i64
-        lib.cw_char_fn.argtypes = [ptr, i64, f64, i64, ptr]
-        lib.cw_char_fn.restype = None
-        lib.cw_inner_cos.argtypes = [ptr, f64, f64, i64, ptr]
-        lib.cw_inner_cos.restype = ctypes.c_bool
-        lib.cw_outer_new.argtypes = [ptr, f64, i64]
-        lib.cw_outer_new.restype = ptr
-        for name in ("cw_outer_re", "cw_outer_im", "cw_gauss_re", "cw_gauss_im"):
-            getattr(lib, name).argtypes = [f64, ptr]
-            getattr(lib, name).restype = f64
-        lib.cw_outer_evaluations.argtypes = [ptr]
-        lib.cw_outer_evaluations.restype = i64
-        lib.cw_outer_free.argtypes = [ptr]
-        lib.cw_outer_free.restype = None
-        lib.cw_density.argtypes = [ctypes.c_int, ctypes.POINTER(f64), ptr]
-        lib.cw_density.restype = f64
-        _lib = lib
+        with _load_lock:
+            if _lib is None:
+                path = _library_path()
+                if not path.exists():
+                    _build(path)
+                lib = ctypes.CDLL(str(path))
+                ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+                lib.cw_ziggurat_check.argtypes = [ptr]
+                lib.cw_ziggurat_check.restype = i64
+                inner = np.random.PCG64(0)  # supplies the draws after each probed word
+                idx = lib.cw_ziggurat_check(inner.ctypes.bit_generator)
+                if idx != -1:
+                    raise KernelBuildError(
+                        f"numpy {np.__version__}'s random_standard_normal does not take the ziggurat fast path "
+                        f"that {SOURCE.name} assumes (first at idx {idx})"
+                    )
+                lib.cw_draw.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, ptr]
+                lib.cw_walk.argtypes = [ptr, i64, f64, f64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+                lib.cw_draw.restype = lib.cw_walk.restype = None
+                lib.cw_current_cpu.argtypes = []
+                lib.cw_current_cpu.restype = i64
+                lib.cw_char_fn.argtypes = [ptr, i64, f64, i64, ptr]
+                lib.cw_char_fn.restype = None
+                lib.cw_inner_cos.argtypes = [ptr, f64, f64, i64, ptr]
+                lib.cw_inner_cos.restype = ctypes.c_bool
+                lib.cw_outer_new.argtypes = [ptr, f64, i64]
+                lib.cw_outer_new.restype = ptr
+                for name in ("cw_outer_re", "cw_outer_im", "cw_gauss_re", "cw_gauss_im"):
+                    getattr(lib, name).argtypes = [f64, ptr]
+                    getattr(lib, name).restype = f64
+                lib.cw_outer_evaluations.argtypes = [ptr]
+                lib.cw_outer_evaluations.restype = i64
+                lib.cw_outer_free.argtypes = [ptr]
+                lib.cw_outer_free.restype = None
+                lib.cw_density.argtypes = [ctypes.c_int, ctypes.POINTER(f64), ptr]
+                lib.cw_density.restype = f64
+                _lib = lib
     return _lib

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
 
-from .model import DomainError, is_integer, positive_real
+from .model import DomainError, integer_at_least, positive_real
 
 __all__ = [
     "normalizer",
@@ -120,18 +120,14 @@ class QuarticLaw:
     def even_moment(self, m: int) -> float:
         """E[X^{2m}] = sigma^{2m} 2^m Gamma((2m+1)/4) / Gamma(1/4); inf past
         the double range."""
-        if not (is_integer(m) and m >= 1):
-            raise DomainError(f"m must be a positive integer, got {m!r}")
-        m = int(m)
+        m = integer_at_least(m, "m", 1)
         log_unit = 0.5 * m * math.log(4.0) + gammaln((2 * m + 1) / 4.0) - gammaln(0.25)
         log_moment = log_unit + 2 * m * math.log(self.sigma)
         return math.exp(log_moment) if log_moment < _LOG_DBL_MAX else math.inf
 
     def moment(self, k: int) -> float:
         """E[X^k]; exactly 0 for odd k by symmetry."""
-        if not (is_integer(k) and k >= 0):
-            raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-        k = int(k)
+        k = integer_at_least(k, "k", 0)
         if k == 0:
             return 1.0
         if k % 2 == 1:

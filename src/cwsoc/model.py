@@ -31,6 +31,7 @@ __all__ = [
     "SumStats",
     "MIN_DENSITY_N",
     "is_integer",
+    "integer_at_least",
     "positive_real",
     "nonnegative_real",
     "compensated_sum",
@@ -66,6 +67,16 @@ def _is_finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def integer_at_least(value, name: str, minimum: int) -> int:
+    """value as a Python int if it is an integer of any integral type (numpy
+    integers included) except bool, and at least minimum; DomainError naming
+    it otherwise."""
+    if not (is_integer(value) and value >= minimum):
+        what = {0: "a nonnegative integer", 1: "a positive integer"}.get(minimum, f"an integer of at least {minimum}")
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 def positive_real(value, name: str) -> float:
     """value as a Python float if it is a finite positive real of any real type
     (numpy scalars included) except bool; DomainError naming it otherwise."""
@@ -96,9 +107,7 @@ class ModelParams:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (is_integer(self.n) and self.n >= 1):
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", integer_at_least(self.n, "n", 1))
         sigma = positive_real(self.sigma, "sigma")
         if not sys.float_info.min <= sigma * sigma < math.inf:
             raise DomainError(f"sigma^2 must be a finite normal double, got sigma={sigma!r}")

@@ -46,7 +46,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._native import kernel
-from .model import DomainError, ModelParams, is_integer, nonnegative_real, positive_real, sum_stats
+from .model import DomainError, ModelParams, integer_at_least, is_integer, nonnegative_real, positive_real, sum_stats
 
 __all__ = [
     "SamplerConfig",
@@ -102,13 +102,9 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "proposal_scale", positive_real(self.proposal_scale, "proposal_scale"))
         object.__setattr__(self, "translate_scale", nonnegative_real(self.translate_scale, "translate_scale"))
-        if not (is_integer(self.burn_in_sweeps) and self.burn_in_sweeps >= 0):
-            raise DomainError(f"burn_in_sweeps must be a nonnegative integer, got {self.burn_in_sweeps!r}")
-        if not (is_integer(self.thin_sweeps) and self.thin_sweeps >= 1):
-            raise DomainError(f"thin_sweeps must be a positive integer, got {self.thin_sweeps!r}")
+        object.__setattr__(self, "burn_in_sweeps", integer_at_least(self.burn_in_sweeps, "burn_in_sweeps", 0))
+        object.__setattr__(self, "thin_sweeps", integer_at_least(self.thin_sweeps, "thin_sweeps", 1))
         object.__setattr__(self, "seed", _checked_key(self.seed, "seed"))
-        for name in ("burn_in_sweeps", "thin_sweeps"):
-            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 class SampleRecord(NamedTuple):
@@ -254,8 +250,7 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     Records carry (sweep, s, t, s/n^{3/4}, t/n) and are bit-reproducible given
     (params, cfg, chain_id).
     """
-    if not (is_integer(sweeps) and sweeps >= 0):
-        raise DomainError(f"sweeps must be a nonnegative integer, got {sweeps!r}")
+    sweeps = integer_at_least(sweeps, "sweeps", 0)
     n = chain.params.n
     x = chain.x
     if not (
@@ -358,7 +353,7 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
             _SAMPLER_THREADS.leave()
         _SAMPLER_THREADS.leave()
     chain.accepted += int(counts[0])
-    chain.proposed += int(sweeps) * n
+    chain.proposed += sweeps * n
     chain.translations_accepted += int(counts[1])
     return records
 
@@ -399,11 +394,7 @@ def importance_estimate(
     the number of spins; n <= 200 is the practical range.  Results with ESS
     below 50 are returned flagged unreliable (with a warning), never silently.
     """
-    if not (is_integer(draws) and draws >= MIN_IMPORTANCE_DRAWS):
-        raise DomainError(
-            f"importance estimates need an integer number of draws, at least {MIN_IMPORTANCE_DRAWS}, got {draws!r}"
-        )
-    draws = int(draws)
+    draws = integer_at_least(draws, "draws", MIN_IMPORTANCE_DRAWS)
     log_w = np.empty(draws)
     f_vals = np.empty(draws)
     done = 0
@@ -433,8 +424,7 @@ def importance_estimate(
 
 def batch_means_stderr(values: Sequence[float], n_batches: int = 32) -> float:
     """Batch-means standard error of the mean of a correlated sequence."""
-    if not (is_integer(n_batches) and n_batches >= 2):
-        raise DomainError(f"n_batches must be an integer of at least 2, got {n_batches!r}")
+    n_batches = integer_at_least(n_batches, "n_batches", 2)
     v = np.asarray(values, dtype=float)
     if v.size < 2 * n_batches:
         raise DomainError(f"need at least {2 * n_batches} values for {n_batches} batches")

@@ -1,7 +1,9 @@
 """Tests for building, caching and loading the compiled kernels."""
 
+import ctypes
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -73,6 +75,29 @@ def library_files(cache):
     return sorted(p.name for p in cache.iterdir())
 
 
+def first_loads_on_two_threads(cache, monkeypatch):
+    """What a cold `simulate --chains 2` does: two threads, started by a
+    barrier, make the process's first kernel() calls on the empty cache
+    `cache`; returns the library each got."""
+    monkeypatch.setattr(_native, "CACHE_DIR", cache)
+    monkeypatch.setattr(_native, "_lib", None)
+    start = threading.Barrier(2)
+    libs = []
+
+    def load():
+        start.wait()
+        libs.append(_native.kernel())
+
+    threads = [threading.Thread(target=load) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert len(libs) == 2
+    return libs
+
+
 class TestCache:
     def test_second_load_in_fresh_process_does_not_compile(self, tmp_path):
         cache = tmp_path / "cache"
@@ -92,26 +117,10 @@ class TestCache:
         assert built.endswith(".so")
 
     def test_simultaneous_builds_on_threads_of_one_process(self, tmp_path, monkeypatch):
-        # what a cold `simulate --chains 2` does: both chain threads find no library
         params, cfg = ModelParams(5, 1.0), SamplerConfig(burn_in_sweeps=0, seed=4)
         expected = run(init_chain(params, cfg), 30)[-1]
         cache = tmp_path / "cache"
-        monkeypatch.setattr(_native, "CACHE_DIR", cache)
-        monkeypatch.setattr(_native, "_lib", None)
-        start = threading.Barrier(2)
-        libs = []
-
-        def load():
-            start.wait()
-            libs.append(_native.kernel())
-
-        threads = [threading.Thread(target=load) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-        assert len(libs) == 2
+        libs = first_loads_on_two_threads(cache, monkeypatch)
         for lib in libs:
             # 30 sweeps drawn and walked in one block: the statistics `run` records after sweep 30
             chain = init_chain(params, cfg)
@@ -177,17 +186,18 @@ class TestSignatures:
         assert (function.restype is None) == void
 
 
-def draw_and_compare(bit_generator, n, sweeps, moves):
-    """Draws `sweeps` sweeps with cw_draw and checks its buffers and the
-    generator's state afterwards against the Generator API's draws, bit for
-    bit; returns the proposal normals."""
+def draw_and_compare(bit_generator, n, sweeps, moves, lib=None):
+    """Draws `sweeps` sweeps with cw_draw of `lib` (the loaded kernel by
+    default) and checks its buffers and the generator's state afterwards
+    against the Generator API's draws, bit for bit; returns the proposal
+    normals."""
     drawn, expected = (np.random.Generator(bit_generator(20261020)) for _ in range(2))
     for rng in (drawn, expected):
         rng.integers(0, 7)  # leaves a buffered 32-bit half word where the generator has one
     assert drawn.bit_generator.state.get("has_uint32", 1) == 1
     sites, normals, uniforms = np.empty(sweeps * n, np.uint64), np.empty(sweeps * n), np.empty(sweeps * n)
     zu = np.empty(max(1, 2 * sweeps * moves))
-    _native.kernel().cw_draw(
+    (lib or _native.kernel()).cw_draw(
         drawn.bit_generator.ctypes.bit_generator.value, n, sweeps, moves,
         sites.ctypes.data, normals.ctypes.data, uniforms.ctypes.data, zu.ctypes.data,
     )
@@ -207,6 +217,8 @@ def draw_and_compare(bit_generator, n, sweeps, moves):
     return normals
 
 
+BIT_GENERATORS = [np.random.Philox, np.random.PCG64, np.random.MT19937, np.random.SFC64]
+
 # The start of the tail of numpy's ziggurat normal: every |z| beyond it comes
 # from a word the kernel replays into numpy's random_standard_normal.
 ZIGGURAT_TAIL = 3.6541528853610088
@@ -215,7 +227,7 @@ ZIGGURAT_TAIL = 3.6541528853610088
 class TestDrawMatchesGeneratorApi:
     @pytest.mark.parametrize("moves", [0, 8])
     @pytest.mark.parametrize("n", [1, 3, 16, 257])
-    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.MT19937, np.random.SFC64])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_buffers_and_state_match_the_generator_api(self, bit_generator, n, moves):
         draw_and_compare(bit_generator, n, 30, moves)
 
@@ -223,6 +235,36 @@ class TestDrawMatchesGeneratorApi:
         normals = draw_and_compare(np.random.Philox, 256, 4100, 8)
         assert normals.size >= 2**20
         assert np.abs(normals).max() > ZIGGURAT_TAIL
+
+
+class TestZigguratCheck:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_a_recheck_passes_on_any_inner_generator(self, bit_generator):
+        # the check's verdict and the tables it writes do not depend on the draws after a probed word
+        inner = bit_generator(5)
+        assert _native.kernel().cw_ziggurat_check(inner.ctypes.bit_generator) == -1
+        draw_and_compare(bit_generator, 64, 30, 8)
+
+    def test_an_unchecked_library_replays_every_word(self, tmp_path):
+        # a second copy is a second load, whose tables no check has filled
+        checked = _native.kernel()
+        copy = tmp_path / "unchecked.so"
+        shutil.copyfile(_native._library_path(), copy)
+        unchecked = ctypes.CDLL(str(copy))
+        unchecked.cw_draw.argtypes = checked.cw_draw.argtypes
+        address = [ctypes.cast(lib.cw_draw, ctypes.c_void_p).value for lib in (checked, unchecked)]
+        assert address[0] != address[1]
+        draw_and_compare(np.random.Philox, 64, 200, 8, lib=unchecked)
+
+    def test_first_loads_on_two_threads_build_and_check_once(self, tmp_path, monkeypatch):
+        builds, checks = [], []
+        build, pcg64 = _native._build, np.random.PCG64
+        monkeypatch.setattr(_native, "_build", lambda target: (builds.append(target), build(target)))
+        # each check draws on a private PCG64 after its probed words
+        monkeypatch.setattr(np.random, "PCG64", lambda *args: (checks.append(args), pcg64(*args))[1])
+        libs = first_loads_on_two_threads(tmp_path / "cache", monkeypatch)
+        assert len(builds) == len(checks) == 1
+        assert libs[0] is libs[1]
 
 
 class TestBuildFailure:

@@ -19,6 +19,7 @@ from scipy.special import gammaln, hyp1f1, logsumexp
 
 import cwsoc
 from cwsoc._native import kernel
+from cwsoc.cli import main
 from cwsoc.limit_law import QuarticLaw
 from cwsoc.model import (
     DomainError, ModelParams, SupportError, UnsupportedOrderError, log_joint_density_unnormalized, psi_unchecked,
@@ -173,6 +174,10 @@ class TestGammaLawCf:
             gamma_law_cf(1.0, 0.0, 1.0)
 
 
+# The v of the tests that tie char_fn to its two named oracles.
+NAMED_ORACLE_V = (-50.0, -7.5, -1.3, -0.2, 0.0, 0.1, 0.9, 3.0, 40.0)
+
+
 class TestCharFn:
     def test_at_origin(self):
         assert char_fn(0.0, 0.0, 9) == 1.0
@@ -221,6 +226,25 @@ class TestCharFn:
         assert phi.shape == us.shape
         assert [c.hex() for c in phi.real] == [c.real.hex() for c in scalars]
         assert [c.hex() for c in phi.imag] == [c.imag.hex() for c in scalars]
+
+    @pytest.mark.parametrize("v", NAMED_ORACLE_V)
+    def test_phi_1_is_the_gaussian_integral_over_the_normal_density(self, v):
+        """Phi_1(u, v) = E exp(iux + ivx^2), x ~ N(0, 1), is the closed-form
+        Gaussian-Fourier integral of exp(iux - (1 - 2iv) x^2/2) over sqrt(2 pi):
+        an independent route to char_fn."""
+        us = np.linspace(-6.0, 6.0, 49)
+        expected = [complex_gaussian_integral(u, complex(1.0, -2.0 * v)) / math.sqrt(_TWO_PI) for u in us]
+        assert np.max(np.abs(char_fn(us, v, 1) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("v", NAMED_ORACLE_V)
+    def test_phi_n_at_u_0_is_the_chi_square_cf(self, v):
+        """Phi_n(0, v) = (1 - 2iv)^{-n/2}, the characteristic function of
+        chi^2_n = Gamma(n/2, 2), is gamma_law_cf's value bit for bit.  This is
+        shared arithmetic, not an independent route: both sides take the C
+        library's clog of 1 - 2iv and then exp."""
+        for n in range(1, 31):
+            phi, expected = char_fn(0.0, v, n), gamma_law_cf(v, n / 2, 2.0)
+            assert (phi.real.hex(), phi.imag.hex()) == (expected.real.hex(), expected.imag.hex()), n
 
 
 def python_log_density(x, y, n):
@@ -799,6 +823,56 @@ class TestNormalization:
     def test_small_n_rejected(self):
         with pytest.raises(UnsupportedOrderError):
             estimate_C_n(4)
+
+    def test_log_Z_n_outside_its_bound_raises(self, monkeypatch):
+        monkeypatch.setattr("cwsoc.verification._log_rescaled_mass", lambda n, nodes: 1e3)
+        with pytest.raises(NormalizationBoundError, match=r"log Z_5 = .* escaped \[0, 2\.5\]"):
+            estimate_C_n(5)
+
+    def test_log_Z_n_outside_its_bound_fails_verify(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("cwsoc.verification._log_rescaled_mass", lambda n, nodes: 1e3)
+        out = tmp_path / "verify"
+        assert main(["verify", "--suite", "laplace", "--n-list", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "log Z_5 = " in err and "escaped [0, 2.5]" in err
+        assert not (out / "report.json").exists()
+
+
+def raising(*args):
+    raise AssertionError("a route's partner was called")
+
+
+class TestRoutesStayApart:
+    """Each pair of routes to one quantity runs with one route broken, and
+    the other returns what an unpatched call returns.  The two routes to
+    log C_n share _rescaled_cutoffs (the window) and _support_dblquad (the
+    raw route's quadrature, which the total-mass check also uses) on
+    purpose; the breaks leave those alone."""
+
+    def test_raw_route_to_log_C_n_without_the_rescaled_grid(self, monkeypatch):
+        expected = log_C_n_by_raw_quadrature(5)
+        monkeypatch.setattr("cwsoc.verification._rescaled_log_terms", raising)
+        monkeypatch.setattr("cwsoc.verification._log_rescaled_mass", raising)
+        assert log_C_n_by_raw_quadrature(5) == expected
+
+    def test_rescaled_grid_without_the_model_density(self, monkeypatch):
+        expected = estimate_C_n(5)
+        monkeypatch.setattr("cwsoc.verification.log_joint_density_unnormalized", raising)
+        assert estimate_C_n(5) == expected
+
+    def test_inversion_without_the_closed_form_density(self, monkeypatch):
+        (x, y), tol = inversion_probe_points(5)[4], TOLERANCES["inversion_tol"]
+        expected = invert_char_fn(x, y, 5, tol)
+        monkeypatch.setattr(kernel(), "cw_density", raising)
+        assert invert_char_fn(x, y, 5, tol) == expected
+
+    def test_closed_form_density_without_the_inversion(self, monkeypatch):
+        x, y = inversion_probe_points(5)[4]
+        expected = density_closed_form(x, y, 5)
+        monkeypatch.setattr("cwsoc.verification._OuterIntegrand", raising)
+        monkeypatch.setattr(kernel(), "cw_inner_cos", raising)
+        monkeypatch.setattr(kernel(), "cw_char_fn", raising)
+        assert density_closed_form(x, y, 5) == expected
 
 
 class TestIntegerOrders:
