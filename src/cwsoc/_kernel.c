@@ -14,9 +14,7 @@
  *                         which QUADPACK calls through scipy.LowLevelCallable;
  *   cw_density            the closed-form (s, t) density,
  *                         verification.density_closed_form, and the
- *                         integrand of the total-mass check;
- *   cw_gauss_re and       the integrand of the complex suite's Gaussian-
- *   cw_gauss_im           integral oracle.
+ *                         integrand of the total-mass check.
  * The entries QUADPACK calls have scipy.LowLevelCallable's signatures.
  *
  * The sweep entries allocate nothing: the caller owns the draw buffers and
@@ -683,32 +681,4 @@ double cw_density(int nargs, double *xx, void *data)
         return 0.0;
     }
     return exp(-0.5 * y + 0.5 * (c[0] - 3.0) * log(gap) - c[1] - c[2]);
-}
-
-/* exp(i t x - zeta x^2 / 2) at x, data = {t, Re zeta, Im zeta}: the complex
- * products of the Python expression cmath.exp(1j * t * x - 0.5 * zeta * x * x)
- * step by step, each real operand a complex with zero imaginary part as
- * CPython takes it, then cmath.exp's exp(re) cos(im) and exp(re) sin(im).
- * For Re zeta > 0 the real part of the exponent is never positive, so
- * cmath.exp's branch for large real parts is never taken. */
-static cw_complex cw_gauss_at(double x, const double *data)
-{
-    cw_complex real_x = {x, 0.0};
-    cw_complex phase = cw_mul(cw_mul((cw_complex){0.0, 1.0}, (cw_complex){data[0], 0.0}), real_x);
-    cw_complex decay = cw_mul(cw_mul(cw_mul((cw_complex){0.5, 0.0}, (cw_complex){data[1], data[2]}), real_x), real_x);
-    double l = exp(phase.re - decay.re);
-    double angle = phase.im - decay.im;
-    return (cw_complex){l * cos(angle), l * sin(angle)};
-}
-
-/* Its real and imaginary parts, for scipy.LowLevelCallable as
- * double (double, void *). */
-double cw_gauss_re(double x, void *data)
-{
-    return cw_gauss_at(x, data).re;
-}
-
-double cw_gauss_im(double x, void *data)
-{
-    return cw_gauss_at(x, data).im;
 }

@@ -3,8 +3,8 @@ draws and walks of ``samplers``' Metropolis sweeps and the CPU query that
 keeps its helper thread off the chain's CPU, and ``verification``'s
 characteristic function, the inner u-rule of its Fourier inversion and the
 integrands that QUADPACK calls through ``scipy.LowLevelCallable``: the
-inversion's outer integrand, the closed-form (s, t) density (``cw_density``,
-which ``density_closed_form`` calls too) and the Gaussian-integral oracle's.
+inversion's outer integrand and the closed-form (s, t) density
+(``cw_density``, which ``density_closed_form`` calls too).
 
 The library is compiled with the C compiler ``cc`` against numpy's shipped
 static ``numpy/random/lib/libnpyrandom.a``, so its draws run through the same
@@ -128,9 +128,8 @@ def kernel() -> ctypes.CDLL:
                 lib.cw_inner_cos.restype = ctypes.c_bool
                 lib.cw_outer_new.argtypes = [ptr, f64, i64]
                 lib.cw_outer_new.restype = ptr
-                for name in ("cw_outer_re", "cw_outer_im", "cw_gauss_re", "cw_gauss_im"):
-                    getattr(lib, name).argtypes = [f64, ptr]
-                    getattr(lib, name).restype = f64
+                lib.cw_outer_re.argtypes = lib.cw_outer_im.argtypes = [f64, ptr]
+                lib.cw_outer_re.restype = lib.cw_outer_im.restype = f64
                 lib.cw_outer_evaluations.argtypes = [ptr]
                 lib.cw_outer_evaluations.restype = i64
                 lib.cw_outer_free.argtypes = [ptr]

@@ -20,10 +20,11 @@ Design notes
   Phi_n(u, -v) = conj Phi_n(u, v), so only the v >= 0 half is integrated and
   the inverted density has no imaginary part to report.
 * The closed-form density is one compiled function, cw_density, that
-  density_closed_form wraps and the total-mass check hands to dblquad; the
-  complex suite's Gaussian-integral oracle integrates a compiled integrand.
-  Both keep the operations of the Python expressions the tests hold as their
-  oracles.  The raw route log_C_n_by_raw_quadrature integrates the model's
+  density_closed_form wraps and the total-mass check hands to dblquad; it
+  keeps the operations of the Python expression the tests hold as its
+  oracle.  The complex suite's Gaussian-integral oracle is a trapezoid sum
+  of the integrand through np.exp, apart from the closed form's principal
+  log.  The raw route log_C_n_by_raw_quadrature integrates the model's
   own density and is the one quadrature left that calls Python at its
   nodes, so that the laplace suite never loads the kernel.  The
   normalization grids sum their exponentials in place, with the bits of
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import LowLevelCallable
-from scipy.integrate import dblquad, quad
+from scipy.integrate import dblquad, quad, trapezoid
 from scipy.special import gammaln, roots_legendre
 
 from ._native import kernel
@@ -727,22 +728,22 @@ def _margin_check(name: str, shortfall: float, details: str) -> CheckReport:
 
 _GAUSS_INTEGRAL_GRID_T = (0.0, 1.0, 2.5)
 _GAUSS_INTEGRAL_GRID_ZETA = (1.0 + 0.0j, 1.0 + 2.0j, 1.0 - 2.0j, 0.2 + 3.0j)
+# Points of the Gaussian-integral oracle's trapezoid sum.  Its integrand is
+# analytic and decays like a Gaussian, so the sum converges geometrically in
+# the spacing (Trefethen and Weideman, SIAM Review 56(3), 2014).  Largest
+# |closed form - sum| over the grid above: 7.7e-10 at 257 points, 1.3e-15 at
+# 513 and 2.7e-15 here, at half that spacing.
+_GAUSS_INTEGRAL_POINTS = 1025
 
 
 def _gaussian_integral_by_quadrature(t: float, zeta: complex) -> complex:
-    """The integral of exp(i t x - zeta x^2 / 2) by adaptive quadrature of its
-    real and imaginary parts.  QUADPACK calls the compiled integrand
-    (cw_gauss_re and cw_gauss_im of ``_kernel.c``), which gives the bits of
-    cmath.exp(1j * t * x - 0.5 * zeta * x * x), the tests' oracle of it."""
-    lib = kernel()
+    """The integral of exp(i t x - zeta x^2 / 2) by the trapezoid sum of
+    np.exp at _GAUSS_INTEGRAL_POINTS equally spaced points."""
     zeta = complex(zeta)
-    values = (ctypes.c_double * 3)(t, zeta.real, zeta.imag)
-    data = ctypes.cast(values, ctypes.c_void_p)
     # envelope exp(-Re(zeta) x^2 / 2) below 1e-13 at the cutoff
     cutoff = max(12.0, math.sqrt(60.0 / zeta.real))
-    re, _ = quad(LowLevelCallable(lib.cw_gauss_re, data), -cutoff, cutoff, epsabs=1e-12, limit=400)
-    im, _ = quad(LowLevelCallable(lib.cw_gauss_im, data), -cutoff, cutoff, epsabs=1e-12, limit=400)
-    return complex(re, im)
+    x = np.linspace(-cutoff, cutoff, _GAUSS_INTEGRAL_POINTS)
+    return complex(trapezoid(np.exp(1j * t * x - 0.5 * zeta * x * x), x))
 
 
 def suite_complex(tols: Mapping[str, float]) -> list[CheckReport]:
@@ -780,7 +781,7 @@ def suite_complex(tols: Mapping[str, float]) -> list[CheckReport]:
                     abs(closed - oracle),
                     0.0,
                     tols["complex_quad_tol"],
-                    "closed form vs adaptive quadrature, envelope-scaled cutoff",
+                    "closed form vs trapezoid sum, envelope-scaled cutoff",
                 )
             )
     reports.append(_abs_check("complex/gamma_cf_at_zero", abs(gamma_law_cf(0.0, 2.3, 1.7) - 1.0), 0.0, 1e-15))

@@ -7,6 +7,7 @@ and also asserts, so the suite is both human-readable and a hard gate.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,10 @@ from cwsoc.verification import (
     psi_quadratic_expansion,
     run_suites,
 )
+
+
+# The 72 report.json row names of `verify --suite all`, in report order.
+VERIFY_ROWS = Path(__file__).with_name("verify_rows.txt")
 
 
 def _report(num: int, ok: bool, description: str, detail: str = "") -> None:
@@ -279,7 +284,5 @@ def test_full_verification_suite_passes(tmp_path):
             f"{len(reports) - len(failed)}/{len(reports)} checks pass"
             + (f"; failing: {failed}" if failed else ""))
     assert not failed, f"failing checks: {failed}"
-    # README, CI's verify step and the benchmark's VERIFY_CHECKS pin these counts
-    families = [r.name.split("/")[0] for r in reports]
-    assert len(reports) == 72
-    assert {f: families.count(f) for f in set(families)} == {"complex": 26, "laplace": 36, "density": 10}
+    # the rows in report order, which CI's verify step reads too; a renamed or swapped row fails
+    assert [r.name for r in reports] == VERIFY_ROWS.read_text().splitlines()

@@ -62,6 +62,7 @@ from cwsoc.verification import (
     TOLERANCES,
     _GAUSS_INTEGRAL_GRID_T,
     _GAUSS_INTEGRAL_GRID_ZETA,
+    _GAUSS_INTEGRAL_POINTS,
     _TWO_PI,
     InversionAccuracyError,
     _OuterIntegrand,
@@ -75,6 +76,7 @@ from cwsoc.verification import (
     _rescaled_cutoffs,
     _rescaled_log_terms,
     _support_dblquad,
+    suite_complex,
     suite_density,
 )
 
@@ -325,23 +327,32 @@ class TestClosedFormDensity:
             assert density_closed_form(x, y, 6) == (0.0 if expected == -math.inf else math.exp(expected)), (x, y)
 
 
-class TestCompiledGaussianIntegrand:
-    """The compiled integrand of _gaussian_integral_by_quadrature against the
-    cmath expression it replaces, its oracle."""
+GAUSS_INTEGRAL_GRID = [(t, zeta) for t in _GAUSS_INTEGRAL_GRID_T for zeta in _GAUSS_INTEGRAL_GRID_ZETA]
+
+
+class TestGaussianIntegralOracle:
+    """The trapezoid sum of _gaussian_integral_by_quadrature at each point of
+    the report's grid against QUADPACK on the cmath expression of its
+    integrand, its oracle, against itself at twice the points, and against
+    the closed form as the report row takes it."""
 
     @pytest.mark.parametrize("zeta", _GAUSS_INTEGRAL_GRID_ZETA)
     @pytest.mark.parametrize("t", _GAUSS_INTEGRAL_GRID_T)
-    def test_every_point_quadpack_visits(self, monkeypatch, t, zeta):
+    def test_trapezoid_sum_on_the_report_grid(self, monkeypatch, t, zeta):
         value = _gaussian_integral_by_quadrature(t, zeta)
-        visited = recording_low_level_callables(monkeypatch, lambda func, args, data: func(*args, data))
-        assert repr(_gaussian_integral_by_quadrature(t, zeta)) == repr(value)
-        assert {name for name, _ in visited} == {"cw_gauss_re", "cw_gauss_im"}
-        lib = kernel()
-        data = (ctypes.c_double * 3)(t, zeta.real, zeta.imag)
-        for _, (x,) in visited:
-            expected = cmath.exp(1j * t * x - 0.5 * zeta * x * x)
-            assert lib.cw_gauss_re(x, data).hex() == expected.real.hex(), x
-            assert lib.cw_gauss_im(x, data).hex() == expected.imag.hex(), x
+        cutoff = max(12.0, math.sqrt(60.0 / zeta.real))
+
+        def integrand(x):
+            return cmath.exp(1j * t * x - 0.5 * zeta * x * x)
+
+        # QUADPACK's default epsrel (1.49e-8) ends the subdivision up to 6.1e-10
+        # away; with epsrel=1e-12 it comes within 7.1e-16 of the sum
+        re, _ = quad(lambda x: integrand(x).real, -cutoff, cutoff, epsabs=1e-12, epsrel=1e-12, limit=400)
+        im, _ = quad(lambda x: integrand(x).imag, -cutoff, cutoff, epsabs=1e-12, epsrel=1e-12, limit=400)
+        assert abs(value - complex(re, im)) <= 1e-12
+        assert abs(complex_gaussian_integral(t, zeta) - value) <= 1e-14
+        monkeypatch.setattr("cwsoc.verification._GAUSS_INTEGRAL_POINTS", 2 * _GAUSS_INTEGRAL_POINTS)
+        assert abs(_gaussian_integral_by_quadrature(t, zeta) - value) <= 1e-14
 
 
 class TestInversion:
@@ -873,6 +884,21 @@ class TestRoutesStayApart:
         monkeypatch.setattr(kernel(), "cw_inner_cos", raising)
         monkeypatch.setattr(kernel(), "cw_char_fn", raising)
         assert density_closed_form(x, y, 5) == expected
+
+    def test_trapezoid_sum_without_the_principal_log(self, monkeypatch):
+        expected = [_gaussian_integral_by_quadrature(t, zeta) for t, zeta in GAUSS_INTEGRAL_GRID]
+        monkeypatch.setattr("cwsoc.verification.complex_pow", raising)
+        assert [_gaussian_integral_by_quadrature(t, zeta) for t, zeta in GAUSS_INTEGRAL_GRID] == expected
+
+    def test_closed_form_gaussian_integral_without_the_trapezoid_sum(self, monkeypatch):
+        expected = [complex_gaussian_integral(t, zeta) for t, zeta in GAUSS_INTEGRAL_GRID]
+        monkeypatch.setattr("cwsoc.verification.trapezoid", raising)
+        assert [complex_gaussian_integral(t, zeta) for t, zeta in GAUSS_INTEGRAL_GRID] == expected
+
+    def test_complex_suite_without_a_compiled_integrand(self, monkeypatch):
+        expected = suite_complex(TOLERANCES)
+        monkeypatch.setattr("cwsoc.verification.LowLevelCallable", raising)
+        assert suite_complex(TOLERANCES) == expected
 
 
 class TestIntegerOrders:
