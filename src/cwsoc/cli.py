@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .limit_law import QuarticLaw
 from .model import DomainError, ModelParams
-from .samplers import TRANSLATE_MOVES, SampleRecord, SamplerConfig, chain_rng, init_chain, run, usable_cpus
+from .samplers import TRANSLATE_MOVES, ChainRecords, SamplerConfig, chain_rng, init_chain, run, usable_cpus
 from .verification import SUITE_NAMES, TOLERANCES, ks_statistic, run_suites
 
 SAMPLES_HEADER = "chain,sweep,s,t,s_scaled,t_scaled"
@@ -157,7 +157,7 @@ def _write_manifest(
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _run_chains(params: ModelParams, cfg: SamplerConfig, chains: int, sweeps: int) -> list[list[SampleRecord]]:
+def _run_chains(params: ModelParams, cfg: SamplerConfig, chains: int, sweeps: int) -> list[ChainRecords]:
     """Records of chains 0..chains-1 in chain-id order, run on up to one thread
     per CPU the process may use (the kernel releases the GIL).  The threads
     are daemons, so Ctrl-C ends the process without waiting for the chains."""
@@ -200,11 +200,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(samples_path, "w", newline="") as fh:
         fh.write(SAMPLES_HEADER + "\n")
         for chain_id, records in enumerate(results):
-            for rec in records:
-                fh.write(
-                    f"{chain_id},{rec.sweep},{_fmt(rec.s)},{_fmt(rec.t)},"
-                    f"{_fmt(rec.s_scaled)},{_fmt(rec.t_scaled)}\n"
-                )
+            # Python ints and floats, whose repr is _fmt's
+            columns = (records.sweep, records.s, records.t, records.s_scaled, records.t_scaled)
+            for row in zip(*(column.tolist() for column in columns)):
+                fh.write(f"{chain_id},{','.join(map(repr, row))}\n")
     _write_manifest(out_dir, f"simulate --n {n}", asdict(params), sweeps, cfg, samples_path.name, chains)
     return 0
 
@@ -275,8 +274,8 @@ def _convergence_row(
     """One convergence.csv row: n, KS of s_scaled against the limit law, mean and sd of t_scaled."""
     records = run(init_chain(params, cfg, chain_id=chain_id), sweeps)
     sigma_sq = params.sigma * params.sigma  # t/n is taken in these units, so its squared deviations cannot overflow
-    s_scaled = np.sort(np.array([rec.s_scaled for rec in records]))
-    t_unit = np.array([rec.t_scaled for rec in records]) / sigma_sq
+    s_scaled = np.sort(records.s_scaled)
+    t_unit = records.t_scaled / sigma_sq
     ks = ks_statistic(s_scaled, law.cdf) if records else math.nan
     mean_t = float(t_unit.mean()) * sigma_sq if records else math.nan
     sd_t = float(t_unit.std(ddof=1)) * sigma_sq if len(records) > 1 else math.nan

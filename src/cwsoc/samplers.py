@@ -31,6 +31,12 @@ normal and then one uniform per move, as ``standard_normal(1)`` and
 ``translate_scale`` 0 nothing more is drawn, so the stream is unchanged.
 The stream, every output and the generator's state after ``run`` are the
 same whoever draws.
+
+``run`` returns its records as ``ChainRecords``: five read-only numpy
+columns, filled block by block from the kernel's per-sweep outputs, so no
+Python object is made per recorded sweep.  Iterating it yields the rows as
+``SampleRecord``s, a view of the columns made a chunk at a time, with the
+values the columns hold.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ __all__ = [
     "SamplerConfig",
     "ChainState",
     "SampleRecord",
+    "ChainRecords",
     "ImportanceResult",
     "chain_rng",
     "init_chain",
@@ -67,6 +74,8 @@ __all__ = [
 RESYNC_EVERY_SWEEPS = 10_000
 # proposals per block of sweeps: run draws a block in full, then walks it
 DRAW_AHEAD_PROPOSALS = 2**15
+# ChainRecords' iterator makes this many SampleRecords at a time
+ROW_CHUNK = 4096
 
 MIN_IMPORTANCE_DRAWS = 100
 MIN_RELIABLE_ESS = 50.0
@@ -115,6 +124,30 @@ class SampleRecord(NamedTuple):
     t: float
     s_scaled: float  # s / n^{3/4}
     t_scaled: float  # t / n
+
+
+@dataclass(frozen=True, eq=False)
+class ChainRecords:
+    """The thinned observations of one ``run`` call as read-only columns: sweep
+    (int64) and s, t, s_scaled = s / n^{3/4}, t_scaled = t / n (float64).
+
+    len() counts the records.  Iterating yields them as SampleRecords, made
+    ROW_CHUNK at a time from the columns, so a pass over the rows never
+    holds one Python object per record."""
+
+    sweep: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    s_scaled: np.ndarray
+    t_scaled: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sweep)
+
+    def __iter__(self) -> Iterator[SampleRecord]:
+        columns = (self.sweep, self.s, self.t, self.s_scaled, self.t_scaled)
+        for start in range(0, len(self), ROW_CHUNK):
+            yield from map(SampleRecord, *(column[start : start + ROW_CHUNK].tolist() for column in columns))
 
 
 @dataclass
@@ -215,7 +248,7 @@ def _pieces(sweeps_done: int, sweeps: int, most: int) -> Iterator[int]:
         sweeps -= piece
 
 
-def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
+def run(chain: ChainState, sweeps: int) -> ChainRecords:
     """Advance the chain by `sweeps` sweeps, recording thinned post-burn-in stats.
 
     Each sweep is n single-site steps whose draws come per sweep in three
@@ -246,8 +279,12 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     generator's state are the same whoever draws.
 
     Sweep i (1-based, counted from the start of this call) is recorded when
-    i > burn_in_sweeps and (i - burn_in_sweeps) is a multiple of thin_sweeps.
-    Records carry (sweep, s, t, s/n^{3/4}, t/n) and are bit-reproducible given
+    i > burn_in_sweeps and (i - burn_in_sweeps) is a multiple of thin_sweeps,
+    so there are max(0, (sweeps - burn_in_sweeps) // thin_sweeps) records.
+    They are returned as ChainRecords, whose columns sweep, s, t,
+    s_scaled = s/n^{3/4} and t_scaled = t/n are sized once and filled block
+    by block; its rows, SampleRecords made from the columns as they are
+    iterated, hold the same values.  Records are bit-reproducible given
     (params, cfg, chain_id).
     """
     sweeps = integer_at_least(sweeps, "sweeps", 0)
@@ -265,10 +302,18 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     scale, inv_two_sigma_sq = chain.cfg.proposal_scale * sigma, 1.0 / (2.0 * sigma**2)
     translate = chain.cfg.translate_scale * sigma * n**-0.25
     burn, thin = chain.cfg.burn_in_sweeps, chain.cfg.thin_sweeps
-    s_denom = float(n) ** 0.75
-    records: list[SampleRecord] = []
+    sweep_col = np.arange(burn + thin, sweeps + 1, thin, dtype=np.int64)
+    s_col = np.empty(len(sweep_col))
+    t_col = np.empty_like(s_col)
+
+    def records() -> ChainRecords:
+        columns = (sweep_col, s_col, t_col, s_col / float(n) ** 0.75, t_col / n)
+        for column in columns:
+            column.flags.writeable = False
+        return ChainRecords(*columns)
+
     if sweeps == 0:
-        return records
+        return records()
     lib = kernel()
     bit_generator = chain.rng.bit_generator
     bitgen = bit_generator.ctypes.bit_generator.value
@@ -333,18 +378,9 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
             first = max(done + 1, burn + thin)
             first += -(first - burn) % thin
             if first <= done + piece:
-                s_rec = s_out[first - done - 1 : piece : thin]
-                t_rec = t_out[first - done - 1 : piece : thin]
-                records.extend(
-                    map(
-                        SampleRecord,
-                        range(first, done + piece + 1, thin),
-                        s_rec.tolist(),
-                        t_rec.tolist(),
-                        (s_rec / s_denom).tolist(),
-                        (t_rec / n).tolist(),
-                    )
-                )
+                rows = slice((first - burn) // thin - 1, (done + piece - burn) // thin)
+                s_col[rows] = s_out[first - done - 1 : piece : thin]
+                t_col[rows] = t_out[first - done - 1 : piece : thin]
             done += piece
     finally:
         if helper is not None:
@@ -355,7 +391,7 @@ def run(chain: ChainState, sweeps: int) -> list[SampleRecord]:
     chain.accepted += int(counts[0])
     chain.proposed += sweeps * n
     chain.translations_accepted += int(counts[1])
-    return records
+    return records()
 
 
 def sample_nu_star(params: ModelParams, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:

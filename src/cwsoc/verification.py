@@ -967,7 +967,7 @@ SUITE_NAMES = ("complex", "density", "laplace")
 
 # Default of each verification tolerance, by the name `--tol` overrides it with.
 TOLERANCES = {
-    "complex_quad_tol": 1e-8,  # complex/gaussian_integral[...]
+    "complex_quad_tol": 1e-12,  # complex/gaussian_integral[...]
     "inversion_tol": 1e-3,  # density/inversion_vs_closed_form[n], density/inversion_outside_support[n]
     "density_mass_tol": 1e-6,  # density/closed_form_total_mass[n=6]
     "norm_cross_tol": 1e-6,  # laplace/normalization_cross_route[n=05]

@@ -435,15 +435,12 @@ class TestConvergence:
         args = ["convergence", "--n-list", "8,16,8", "--sweeps", "300", "--burn-in", "100", "--seed", "4", "--out"]
         assert main(args + [str(tmp_path / "plain")]) == 0
 
-        class Records(list):
-            pass
-
         earlier, alive_at_call = [], []
         inner = cli.run
 
         def weakly_held_run(chain, sweeps):
             alive_at_call.append(sum(ref() is not None for ref in earlier))
-            records = Records(inner(chain, sweeps))
+            records = inner(chain, sweeps)
             earlier.append(weakref.ref(records))
             return records
 

@@ -32,7 +32,7 @@ if len(sys.argv) > 2:
 from cwsoc.model import ModelParams
 from cwsoc.samplers import SamplerConfig, init_chain, run
 chain = init_chain(ModelParams(5, 1.0), SamplerConfig(burn_in_sweeps=0, seed=4))
-print(repr(run(chain, 30)[-1]))
+print(repr(list(run(chain, 30))[-1]))
 """
 
 
@@ -68,7 +68,7 @@ def finish(proc):
 
 def expected_last_record():
     chain = init_chain(ModelParams(5, 1.0), SamplerConfig(burn_in_sweeps=0, seed=4))
-    return repr(run(chain, 30)[-1]) + "\n"
+    return repr(list(run(chain, 30))[-1]) + "\n"
 
 
 def library_files(cache):
@@ -118,7 +118,7 @@ class TestCache:
 
     def test_simultaneous_builds_on_threads_of_one_process(self, tmp_path, monkeypatch):
         params, cfg = ModelParams(5, 1.0), SamplerConfig(burn_in_sweeps=0, seed=4)
-        expected = run(init_chain(params, cfg), 30)[-1]
+        expected = list(run(init_chain(params, cfg), 30))[-1]
         cache = tmp_path / "cache"
         libs = first_loads_on_two_threads(cache, monkeypatch)
         for lib in libs:

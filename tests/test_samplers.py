@@ -5,6 +5,8 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from cwsoc.model import DomainError, ModelParams, sum_stats
 from cwsoc.samplers import (
     IMPORTANCE_BLOCK,
     RESYNC_EVERY_SWEEPS,
+    ROW_CHUNK,
     TRANSLATE_MOVES,
+    ChainRecords,
     ChainState,
     ImportanceResult,
     SampleRecord,
@@ -179,7 +183,7 @@ class TestStep:
 class TestRun:
     def test_zero_sweeps_empty_records(self):
         chain = init_chain(ModelParams(8, 1.0), SamplerConfig(seed=1))
-        assert run(chain, 0) == []
+        assert list(run(chain, 0)) == []
 
     def test_negative_sweeps_rejected(self):
         chain = init_chain(ModelParams(8, 1.0), SamplerConfig(seed=1))
@@ -195,7 +199,7 @@ class TestRun:
     def test_numpy_integer_sweeps_accepted(self):
         config = SamplerConfig(burn_in_sweeps=0, seed=1)
         expected = run(init_chain(ModelParams(8, 1.0), config), 12)
-        assert run(init_chain(ModelParams(8, 1.0), config), np.int64(12)) == expected
+        assert list(run(init_chain(ModelParams(8, 1.0), config), np.int64(12))) == list(expected)
 
     @pytest.mark.parametrize("make_x", [
         lambda: np.ones(16)[::2],
@@ -220,7 +224,7 @@ class TestRun:
         params, cfg = ModelParams(32, 1.0), SamplerConfig(seed=42, burn_in_sweeps=5, thin_sweeps=2)
         a = run(init_chain(params, cfg), 200)
         b = run(init_chain(params, cfg), 200)
-        assert a == b
+        assert list(a) == list(b)
 
     def test_scaled_statistics_columns(self):
         n = 16
@@ -344,7 +348,7 @@ class TestRunMatchesPythonOracle:
         params = ModelParams(n, sigma)
         compiled, reference = init_chain(params, cfg, chain_id=1), init_chain(params, cfg, chain_id=1)
         records = run(compiled, 40)
-        assert repr(records) == repr(oracle_run(reference, 40))
+        assert repr(list(records)) == repr(oracle_run(reference, 40))
         assert len(records) == 11
         assert_same_chain(compiled, reference)
         assert compiled.translations_accepted == 0
@@ -355,7 +359,7 @@ class TestRunMatchesPythonOracle:
         params = ModelParams(3, 1.0)
         compiled, reference = init_chain(params, cfg), init_chain(params, cfg)
         records = run(compiled, sweeps)
-        assert repr(records) == repr(oracle_run(reference, sweeps))
+        assert repr(list(records)) == repr(oracle_run(reference, sweeps))
         assert [r.sweep for r in records] == list(range(RESYNC_EVERY_SWEEPS - 3, sweeps + 1, 2))
         assert_same_chain(compiled, reference)
 
@@ -367,7 +371,7 @@ class TestRunMatchesPythonOracle:
         compiled, reference = init_chain(params, cfg, chain_id=1), init_chain(params, cfg, chain_id=1)
         translations = []
         records = run(compiled, 40)
-        assert repr(records) == repr(oracle_run(reference, 40, translations))
+        assert repr(list(records)) == repr(oracle_run(reference, 40, translations))
         assert len(records) == 11
         assert_same_chain(compiled, reference)
         # both outcomes of the move occur, each counted as a translation and neither as a step
@@ -383,7 +387,7 @@ class TestRunMatchesPythonOracle:
         compiled, reference = init_chain(params, cfg), init_chain(params, cfg)
         translations = []
         records = run(compiled, sweeps)
-        assert repr(records) == repr(oracle_run(reference, sweeps, translations))
+        assert repr(list(records)) == repr(oracle_run(reference, sweeps, translations))
         assert [r.sweep for r in records] == list(range(RESYNC_EVERY_SWEEPS - 3, sweeps + 1, 2))
         assert_same_chain(compiled, reference)
         assert compiled.translations_accepted == sum(translations)
@@ -415,7 +419,7 @@ class TestRunMatchesPythonOracle:
         assert math.exp(promised) <= u < math.exp(regrouped) < 1.0
 
         records = run(compiled, 1)
-        assert repr(records) == repr(oracle_run(reference, 1))
+        assert repr(list(records)) == repr(oracle_run(reference, 1))
         assert_same_chain(compiled, reference)
         assert oracle_step(chain(), k, z, u) is False
 
@@ -424,11 +428,71 @@ class TestRunMatchesPythonOracle:
         cfg = SamplerConfig(proposal_scale=0.9, burn_in_sweeps=0, thin_sweeps=1, seed=5)
         params = ModelParams(3, 1.3)
         stepped, whole = init_chain(params, cfg), init_chain(params, cfg)
-        singles = [run(stepped, 1) for _ in range(sweeps)]
+        singles = [list(run(stepped, 1)) for _ in range(sweeps)]
         records = run(whole, sweeps)
         assert all(len(one) == 1 and one[0].sweep == 1 for one in singles)
         assert repr([one[0][1:] for one in singles]) == repr([r[1:] for r in records])
         assert_same_chain(stepped, whole)
+
+
+class TestChainRecords:
+    COLUMNS = ("sweep", "s", "t", "s_scaled", "t_scaled")
+
+    def test_rows_are_the_oracles_records(self):
+        # more than one chunk of rows, the last one partial
+        cfg = SamplerConfig(burn_in_sweeps=3, thin_sweeps=2, seed=12, translate_scale=1.5)
+        sweeps = 3 + 2 * (ROW_CHUNK + 5)
+        compiled, reference = init_chain(ModelParams(2, 1.0), cfg), init_chain(ModelParams(2, 1.0), cfg)
+        records = run(compiled, sweeps)
+        assert isinstance(records, ChainRecords) and len(records) == ROW_CHUNK + 5
+        rows = list(records)
+        assert all(type(row) is SampleRecord for row in rows)
+        assert repr(rows) == repr(oracle_run(reference, sweeps))
+        assert [getattr(records, name).tolist() for name in self.COLUMNS] == [list(c) for c in zip(*rows)]
+
+    def test_benchmark_capture_expression_equals_the_columns(self):
+        # perfbench/child.py's --capture builds its arrays from the rows
+        cfg = SamplerConfig(burn_in_sweeps=10, seed=3, translate_scale=1.5)
+        samples = run(init_chain(ModelParams(16, 1.0), cfg), 10 + 2 * ROW_CHUNK + 1)
+        captured = np.array([(r.s_scaled, r.t_scaled) for r in samples], dtype=float)
+        stacked = np.column_stack([samples.s_scaled, samples.t_scaled])
+        assert captured.shape == (2 * ROW_CHUNK + 1, 2)
+        assert captured.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("sweeps", [0, 4, 9])
+    def test_no_sweep_past_burn_in_gives_empty_columns(self, sweeps):
+        chain = init_chain(ModelParams(8, 1.0), SamplerConfig(burn_in_sweeps=9, thin_sweeps=2, seed=1))
+        records = run(chain, sweeps)
+        assert len(records) == 0 and list(records) == []
+        dtypes = [getattr(records, name).dtype for name in self.COLUMNS]
+        assert dtypes == [np.int64] + [np.float64] * 4
+        assert all(getattr(records, name).shape == (0,) for name in self.COLUMNS)
+        assert chain.sweeps_done == sweeps
+
+    def test_columns_are_read_only(self):
+        records = run(init_chain(ModelParams(8, 1.0), SamplerConfig(burn_in_sweeps=0, seed=1)), 5)
+        for name in self.COLUMNS:
+            column = getattr(records, name)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+            with pytest.raises(FrozenInstanceError):
+                setattr(records, name, column.copy())
+
+    def test_records_retain_under_1_mb(self):
+        # 18,000 records in five 8-byte columns take 0.69 MB; as SampleRecords they took 3.86 MB
+        cfg = SamplerConfig(burn_in_sweeps=2000, thin_sweeps=1, seed=0)
+        run(init_chain(ModelParams(16, 1.0), cfg), 1)  # the kernel loads outside the measurement
+        chain = init_chain(ModelParams(16, 1.0), cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            records = run(chain, 20_000)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 18_000
+        assert retained < 1_000_000, retained
 
 
 class CountingKernel:
@@ -481,7 +545,7 @@ class TestDrawAhead:
         compiled, reference = self.chains(translate_scale)
         translations = []
         records = run(compiled, 41)
-        assert repr(records) == repr(oracle_run(reference, 41, translations))
+        assert repr(list(records)) == repr(oracle_run(reference, 41, translations))
         assert_same_chain(compiled, reference)
         assert compiled.translations_accepted == sum(translations)
         if cpus == 1:
@@ -498,7 +562,7 @@ class TestDrawAhead:
         lib = counting(cpus)
         compiled, reference = self.chains(1.5)
         for sweeps in (10, 7, 1, 13, 9, 6):
-            assert repr(run(compiled, sweeps)) == repr(oracle_run(reference, sweeps))
+            assert repr(list(run(compiled, sweeps))) == repr(oracle_run(reference, sweeps))
         assert_same_chain(compiled, reference)
         # with a spare CPU a helper draws the calls of more than one block
         assert (set(lib.draw_threads) != {threading.get_ident()}) == (cpus > 1)
@@ -520,7 +584,7 @@ class TestDrawAhead:
         finally:
             for _ in entered:
                 samplers._SAMPLER_THREADS.leave()
-        assert repr(records) == repr(oracle_run(reference, 41))
+        assert repr(list(records)) == repr(oracle_run(reference, 41))
         assert_same_chain(compiled, reference)
         me = threading.get_ident()
         assert len(lib.draw_threads) == 11 and lib.draw_threads[1] != me
@@ -549,7 +613,7 @@ class TestDrawAhead:
             if not left:
                 samplers._SAMPLER_THREADS.leave()
         assert left == [True]
-        assert repr(records) == repr(oracle_run(reference, 41))
+        assert repr(list(records)) == repr(oracle_run(reference, 41))
         assert_same_chain(compiled, reference)
         me = threading.get_ident()
         assert len(lib.draw_threads) == 11
@@ -577,7 +641,7 @@ class TestDrawAhead:
         # own draw, blocks 1-10 a helper's
         lib.draw_threads.clear()
         compiled, reference = self.chains(0.0)
-        assert repr(run(compiled, 41)) == repr(oracle_run(reference, 41))
+        assert repr(list(run(compiled, 41))) == repr(oracle_run(reference, 41))
         assert len(lib.draw_threads) == 11 and lib.draw_threads[0] == me
         helpers = set(lib.draw_threads[1:])
         assert len(helpers) == 1 and me not in helpers
@@ -649,7 +713,7 @@ class TestDrawAhead:
         monkeypatch.setattr(lib, "cw_current_cpu", recording_cpu)
         mask = os.sched_getaffinity(0)
         compiled, reference = self.chains(0.0)
-        assert repr(run(compiled, 41)) == repr(oracle_run(reference, 41))
+        assert repr(list(run(compiled, 41))) == repr(oracle_run(reference, 41))
         assert len(here) == 1 and here[0] in mask
         # with one CPU there is no other to keep it on
         assert masks and all(m == (mask - {here[0]} or mask) for m in masks)
@@ -677,7 +741,7 @@ class TestDrawAhead:
         finally:
             sys.setswitchinterval(interval)
         for (compiled, reference), records in zip(pairs, results):
-            assert repr(records) == repr(oracle_run(reference, 41))
+            assert repr(list(records)) == repr(oracle_run(reference, 41))
             assert_same_chain(compiled, reference)
         assert lib.draw_threads != []
         assert samplers._SAMPLER_THREADS._busy == 0  # every claim was given back
@@ -685,7 +749,7 @@ class TestDrawAhead:
     def test_no_helper_for_one_block(self, counting):
         lib = counting(4)
         compiled, reference = self.chains(0.0)
-        assert repr(run(compiled, 4)) == repr(oracle_run(reference, 4))
+        assert repr(list(run(compiled, 4))) == repr(oracle_run(reference, 4))
         assert lib.draw_threads == [threading.get_ident()]
 
 

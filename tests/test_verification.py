@@ -354,6 +354,17 @@ class TestGaussianIntegralOracle:
         monkeypatch.setattr("cwsoc.verification._GAUSS_INTEGRAL_POINTS", 2 * _GAUSS_INTEGRAL_POINTS)
         assert abs(_gaussian_integral_by_quadrature(t, zeta) - value) <= 1e-14
 
+    def test_report_rows_fail_for_a_closed_form_off_by_1e_9(self, monkeypatch):
+        # the rows read at most 2.7e-15 unpatched; the default tolerance must
+        # see an error far below the 1e-8 it once had
+        def off(t, zeta):
+            return complex_gaussian_integral(t, zeta) + 1e-9
+
+        monkeypatch.setattr("cwsoc.verification.complex_gaussian_integral", off)
+        rows = [r for r in suite_complex(TOLERANCES) if r.name.startswith("complex/gaussian_integral[")]
+        assert len(rows) == len(GAUSS_INTEGRAL_GRID) == 12
+        assert [r.passed for r in rows] == [False] * 12
+
 
 class TestInversion:
     @pytest.mark.parametrize("n", [5, 6, 8])
