@@ -1,8 +1,6 @@
 /* The compiled kernels of cwsoc.  They export these entries:
  *   cw_draw and cw_walk   the Metropolis sweeps of cwsoc.samplers: the draws
  *                         of a block of sweeps and the walk over them;
- *   cw_current_cpu        the calling thread's CPU, which samplers keeps its
- *                         helper thread off;
  *   cw_ziggurat_check(inner)
  *                         reads and checks the ziggurat tables of cw_draw's
  *                         normals, which _native asks once per load;
@@ -55,11 +53,8 @@
  * exact conjugate results.
  */
 
-#define _GNU_SOURCE /* sched_getcpu */
-
 #include <complex.h>
 #include <float.h>
-#include <sched.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -318,16 +313,6 @@ void cw_walk(double *x, int64_t n, double s, double t, int64_t sweeps, double sc
         s_out[i] = st[0];
         t_out[i] = st[1];
     }
-}
-
-/* The CPU the calling thread runs on, or -1 where that cannot be told. */
-int64_t cw_current_cpu(void)
-{
-#ifdef __linux__
-    return sched_getcpu();
-#else
-    return -1;
-#endif
 }
 
 /* A complex number laid out as numpy's complex128: real part, then imaginary. */

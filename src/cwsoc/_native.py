@@ -1,6 +1,5 @@
 """Builds and loads the compiled kernels (``_kernel.c``) on first use: the
-draws and walks of ``samplers``' Metropolis sweeps and the CPU query that
-keeps its helper thread off the chain's CPU, and ``verification``'s
+draws and walks of ``samplers``' Metropolis sweeps, and ``verification``'s
 characteristic function, the inner u-rule of its Fourier inversion and the
 integrands that QUADPACK calls through ``scipy.LowLevelCallable``: the
 inversion's outer integrand and the closed-form (s, t) density
@@ -120,8 +119,6 @@ def kernel() -> ctypes.CDLL:
                 lib.cw_draw.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, ptr]
                 lib.cw_walk.argtypes = [ptr, i64, f64, f64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
                 lib.cw_draw.restype = lib.cw_walk.restype = None
-                lib.cw_current_cpu.argtypes = []
-                lib.cw_current_cpu.restype = i64
                 lib.cw_char_fn.argtypes = [ptr, i64, f64, i64, ptr]
                 lib.cw_char_fn.restype = None
                 lib.cw_inner_cos.argtypes = [ptr, f64, f64, i64, ptr]

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .limit_law import QuarticLaw
 from .model import DomainError, ModelParams
-from .samplers import TRANSLATE_MOVES, ChainRecords, SamplerConfig, chain_rng, init_chain, run, usable_cpus
+from .samplers import ChainRecords, SamplerConfig, chain_rng, init_chain, run, usable_cpus
 from .verification import SUITE_NAMES, TOLERANCES, ks_statistic, run_suites
 
 SAMPLES_HEADER = "chain,sweep,s,t,s_scaled,t_scaled"
@@ -119,8 +119,6 @@ def _sampler_settings(
     """Sigma, sweeps per chain and chain settings of a sampling command."""
     sigma = _resolve(args, config, "sigma", 1.0, float)
     sweeps = _resolve(args, config, "sweeps", sweeps_default, int)
-    if sweeps < 0:
-        raise UsageError(f"--sweeps must be nonnegative, got {sweeps}")
     cfg = SamplerConfig(
         proposal_scale=_resolve(args, config, "proposal_scale", SamplerConfig.proposal_scale, float),
         burn_in_sweeps=_resolve(args, config, "burn_in", burn_in_default, int),
@@ -137,8 +135,8 @@ def _write_manifest(
 ) -> None:
     """manifest.json of a sampling command; `command` holds its name and own flags."""
     sampler = {**asdict(cfg), "sweeps": sweeps}
-    if cfg.translate_scale > 0.0:
-        sampler["translate_moves"] = TRANSLATE_MOVES
+    if cfg.translate_moves:
+        sampler["translate_moves"] = cfg.translate_moves
     chains_flag = ""
     if chains is not None:
         sampler["chains"] = chains

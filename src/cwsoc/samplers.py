@@ -24,11 +24,11 @@ sites and uniforms through numpy's own C samplers, and normals by the
 one-word fast path of numpy's ziggurat, with every other word handed back to
 numpy's ``random_standard_normal``.  The stream is the one
 ``integers(0, n, size=n)``, ``standard_normal(n)`` and ``random(n)`` give.
-When ``SamplerConfig.translate_scale`` is positive, each sweep ends with
-TRANSLATE_MOVES translation moves, whose draws follow the three blocks: one
-normal and then one uniform per move, as ``standard_normal(1)`` and
-``random(1)`` give them, in the order z1, u1, z2, u2, ....  With
-``translate_scale`` 0 nothing more is drawn, so the stream is unchanged.
+Each sweep then ends with ``SamplerConfig.translate_moves`` translation
+moves, whose draws follow the three blocks: one normal and then one uniform
+per move, as ``standard_normal(1)`` and ``random(1)`` give them, in the order
+z1, u1, z2, u2, ....  With ``translate_scale`` 0 there are no moves and
+nothing more is drawn, so the stream is unchanged.
 The stream, every output and the generator's state after ``run`` are the
 same whoever draws.
 
@@ -41,6 +41,7 @@ values the columns hold.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -89,8 +90,8 @@ TRANSLATE_MOVES = 8
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Metropolis chain settings.  One sweep is n single-site steps, followed,
-    when translate_scale is positive, by TRANSLATE_MOVES translation moves.
+    """Metropolis chain settings.  One sweep is n single-site steps, followed
+    by translate_moves translation moves.
 
     The default proposal scale is the classic 2.38 random-walk heuristic (in
     units of sigma); there is no adaptive tuning.  The translation move
@@ -114,6 +115,12 @@ class SamplerConfig:
         object.__setattr__(self, "burn_in_sweeps", integer_at_least(self.burn_in_sweeps, "burn_in_sweeps", 0))
         object.__setattr__(self, "thin_sweeps", integer_at_least(self.thin_sweeps, "thin_sweeps", 1))
         object.__setattr__(self, "seed", _checked_key(self.seed, "seed"))
+
+    @property
+    def translate_moves(self) -> int:
+        """The translation moves that end each sweep: TRANSLATE_MOVES when
+        translate_scale is positive, else 0."""
+        return TRANSLATE_MOVES if self.translate_scale > 0.0 else 0
 
 
 class SampleRecord(NamedTuple):
@@ -237,6 +244,12 @@ class _SamplerThreads:
 _SAMPLER_THREADS = _SamplerThreads()
 
 
+# The process's C library's sched_getcpu, the calling thread's CPU or -1 (an
+# int, ctypes' default result), where threads can be pinned; None elsewhere or
+# when the C library has no such function.
+_sched_getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None) if hasattr(os, "sched_setaffinity") else None
+
+
 def _pieces(sweeps_done: int, sweeps: int, most: int) -> Iterator[int]:
     """Lengths of the consecutive pieces of `sweeps` sweeps from a chain's
     sweep count sweeps_done: each at most `most` long, and none runs past a
@@ -252,16 +265,15 @@ def run(chain: ChainState, sweeps: int) -> ChainRecords:
     """Advance the chain by `sweeps` sweeps, recording thinned post-burn-in stats.
 
     Each sweep is n single-site steps whose draws come per sweep in three
-    blocks: n sites, n proposal normals, n acceptance uniforms.  When
-    cfg.translate_scale is positive, the sweep ends with TRANSLATE_MOVES
-    translations of every spin by delta = d*z, d = translate_scale * sigma *
-    n^(-1/4), each drawing one normal z and then one uniform after the three
-    blocks and accepted by the single-site rule; with translate_scale 0 the
-    kernel is passed 0 moves.  chain.accepted and chain.proposed count the
-    single-site steps only, and chain.translations_accepted the accepted
-    translations; all three are updated when the call returns.  Cached (s, t)
-    are recomputed from the configuration whenever the chain's sweep count
-    reaches a multiple of RESYNC_EVERY_SWEEPS.
+    blocks: n sites, n proposal normals, n acceptance uniforms.  The sweep
+    ends with cfg.translate_moves translations of every spin by delta = d*z,
+    d = translate_scale * sigma * n^(-1/4), each drawing one normal z and then
+    one uniform after the three blocks and accepted by the single-site rule.
+    chain.accepted and chain.proposed count the single-site steps only, and
+    chain.translations_accepted the accepted translations; all three are
+    updated when the call returns.  Cached (s, t) are recomputed from the
+    configuration whenever the chain's sweep count reaches a multiple of
+    RESYNC_EVERY_SWEEPS.
 
     The sweeps run in blocks of at most DRAW_AHEAD_PROPOSALS // n sweeps, none
     running past a resync, each drawn in full and then walked.  Who draws:
@@ -317,9 +329,8 @@ def run(chain: ChainState, sweeps: int) -> ChainRecords:
     lib = kernel()
     bit_generator = chain.rng.bit_generator
     bitgen = bit_generator.ctypes.bit_generator.value
-    moves = TRANSLATE_MOVES if translate > 0.0 else 0
-    block = min(max(1, DRAW_AHEAD_PROPOSALS // n), RESYNC_EVERY_SWEEPS)
-    sizes = list(_pieces(chain.sweeps_done, sweeps, block))
+    moves = chain.cfg.translate_moves
+    sizes = list(_pieces(chain.sweeps_done, sweeps, max(1, DRAW_AHEAD_PROPOSALS // n)))
     most = max(sizes)
     counts = np.zeros(2, dtype=np.int64)
     s_out = np.empty(most)
@@ -357,9 +368,8 @@ def run(chain: ChainState, sweeps: int) -> ChainRecords:
                     # chain thread's CPU, where the two run slower than one thread
                     # drawing and walking, while another CPU idles: the helper
                     # runs on the others.
-                    here = lib.cw_current_cpu()
-                    pin = here >= 0 and hasattr(os, "sched_setaffinity")
-                    others = os.sched_getaffinity(0) - {here} if pin else set()
+                    here = _sched_getcpu() if _sched_getcpu else -1
+                    others = os.sched_getaffinity(0) - {here} if here >= 0 else set()
                     helper = ThreadPoolExecutor(
                         1, initializer=os.sched_setaffinity if others else None, initargs=(0, others)
                     )
@@ -374,13 +384,9 @@ def run(chain: ChainState, sweeps: int) -> ChainRecords:
             if chain.sweeps_done % RESYNC_EVERY_SWEEPS == 0:
                 chain.resync_stats()
                 s_out[piece - 1], t_out[piece - 1] = chain.s, chain.t
-            # the first sweep of this piece recorded: i > burn, (i - burn) % thin == 0
-            first = max(done + 1, burn + thin)
-            first += -(first - burn) % thin
-            if first <= done + piece:
-                rows = slice((first - burn) // thin - 1, (done + piece - burn) // thin)
-                s_col[rows] = s_out[first - done - 1 : piece : thin]
-                t_col[rows] = t_out[first - done - 1 : piece : thin]
+            lo, hi = np.searchsorted(sweep_col, (done, done + piece), side="right")
+            picked = sweep_col[lo:hi] - (done + 1)
+            s_col[lo:hi], t_col[lo:hi] = s_out[picked], t_out[picked]
             done += piece
     finally:
         if helper is not None:

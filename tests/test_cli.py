@@ -18,6 +18,7 @@ import pytest
 
 import cwsoc
 import cwsoc.cli as cli
+from cwsoc import samplers
 from cwsoc.cli import main
 from cwsoc.limit_law import QuarticLaw, normalizer
 from cwsoc.samplers import chain_rng
@@ -147,6 +148,14 @@ class TestSimulate:
         out = tmp_path / "run"
         assert main([command, *where, "--sigma", "1e200", "--sweeps", "10", "--out", str(out)]) == 2
         assert "finite normal double" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_negative_sweeps_exits_2(self, tmp_path, capsys, command):
+        where = ["--n", "8"] if command == "simulate" else ["--n-list", "8"]
+        out = tmp_path / "run"
+        assert main([command, *where, "--sweeps", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sweeps must be a nonnegative integer, got -1\n"
         assert not out.exists()
 
     def test_chains_recorded_in_id_order(self, tmp_path):
@@ -430,6 +439,31 @@ class TestConvergence:
             "translate_moves": 8, "translate_scale": 1.5,
         }
         assert manifest["params"] == {"n_list": [8, 16], "sigma": 1.0}
+
+    def test_translate_moves_has_one_source(self, tmp_path, monkeypatch):
+        # the manifest and the chain's draws both follow samplers.TRANSLATE_MOVES
+        monkeypatch.setattr(samplers, "TRANSLATE_MOVES", 3)
+        chains, inner = [], cli.run
+
+        def recording_run(chain, sweeps):
+            chains.append(chain)
+            return inner(chain, sweeps)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        out = tmp_path / "conv"
+        assert main(["convergence", "--n-list", "8", "--sweeps", "5", "--burn-in", "0", "--seed", "6",
+                     "--out", str(out)]) == 0
+        assert json.loads(read(out / "manifest.json"))["sampler"]["translate_moves"] == 3
+        # the documented stream: the initial spins, then per sweep the three
+        # blocks and a normal and a uniform per move
+        expected = chain_rng(6, 0)
+        expected.standard_normal(8)
+        for _ in range(5):
+            expected.integers(0, 8, size=8), expected.standard_normal(8), expected.random(8)
+            for _ in range(3):
+                expected.standard_normal(1), expected.random(1)
+        [chain] = chains
+        assert repr(chain.rng.bit_generator.state) == repr(expected.bit_generator.state)
 
     def test_one_chains_records_alive_at_a_time(self, tmp_path, monkeypatch):
         args = ["convergence", "--n-list", "8,16,8", "--sweeps", "300", "--burn-in", "100", "--seed", "4", "--out"]

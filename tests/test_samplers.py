@@ -363,10 +363,12 @@ class TestRunMatchesPythonOracle:
         assert [r.sweep for r in records] == list(range(RESYNC_EVERY_SWEEPS - 3, sweeps + 1, 2))
         assert_same_chain(compiled, reference)
 
-    @pytest.mark.parametrize("n", [2, 3, 16])
-    @pytest.mark.parametrize("sigma", [1.0, 2.5])
-    def test_bit_identical_with_translation(self, n, sigma):
-        cfg = SamplerConfig(proposal_scale=1.7, burn_in_sweeps=7, thin_sweeps=3, seed=2718, translate_scale=1.5)
+    @staticmethod
+    def translation_tie(n, sigma, translate_scale):
+        """40 sweeps of run against oracle_run with translation moves; returns
+        the chain and the oracle's move outcomes."""
+        cfg = SamplerConfig(proposal_scale=1.7, burn_in_sweeps=7, thin_sweeps=3, seed=2718,
+                            translate_scale=translate_scale)
         params = ModelParams(n, sigma)
         compiled, reference = init_chain(params, cfg, chain_id=1), init_chain(params, cfg, chain_id=1)
         translations = []
@@ -374,11 +376,24 @@ class TestRunMatchesPythonOracle:
         assert repr(list(records)) == repr(oracle_run(reference, 40, translations))
         assert len(records) == 11
         assert_same_chain(compiled, reference)
-        # both outcomes of the move occur, each counted as a translation and neither as a step
-        assert set(translations) == {True, False}
         assert compiled.translations_accepted == sum(translations)
         assert len(translations) == 40 * TRANSLATE_MOVES
         assert compiled.proposed == 40 * n
+        return compiled, translations
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_bit_identical_with_translation(self, n, sigma):
+        _, translations = self.translation_tie(n, sigma, 1.5)
+        # both outcomes of the move occur, each counted as a translation and neither as a step
+        assert set(translations) == {True, False}
+
+    def test_bit_identical_with_a_translation_that_underflows(self):
+        # d = 5e-324 * 16^(-1/4) rounds to 0: a positive scale still draws
+        # every move, and each moves nothing and is accepted
+        assert 5e-324 * 1.0 * 16**-0.25 == 0.0
+        compiled, _ = self.translation_tie(16, 1.0, 5e-324)
+        assert compiled.translations_accepted == 40 * TRANSLATE_MOVES
 
     def test_bit_identical_with_translation_across_resync_boundary(self):
         sweeps = RESYNC_EVERY_SWEEPS + 3
@@ -530,8 +545,8 @@ class TestDrawAhead:
 
         return setup
 
-    def chains(self, translate_scale):
-        cfg = SamplerConfig(proposal_scale=1.7, burn_in_sweeps=5, thin_sweeps=2, seed=77,
+    def chains(self, translate_scale, thin=2):
+        cfg = SamplerConfig(proposal_scale=1.7, burn_in_sweeps=5, thin_sweeps=thin, seed=77,
                             translate_scale=translate_scale)
         pair = init_chain(ModelParams(self.N, 1.3), cfg, 2), init_chain(ModelParams(self.N, 1.3), cfg, 2)
         for chain in pair:
@@ -556,6 +571,17 @@ class TestDrawAhead:
             assert len(lib.draw_threads) == 11
             assert lib.draw_threads[0] == threading.get_ident()
             assert lib.draw_threads[0] not in lib.draw_threads[1:] and len(set(lib.draw_threads[1:])) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_blocks_that_record_nothing(self, counting, cpus):
+        # sweeps 12, 19, 26, 33 and 40 are recorded: of the blocks 1-4, 5-8,
+        # 9, 10-13, ..., 38-41, six record no row
+        counting(cpus)
+        compiled, reference = self.chains(1.5, thin=7)
+        records = run(compiled, 41)
+        assert records.sweep.tolist() == [12, 19, 26, 33, 40]
+        assert repr(list(records)) == repr(oracle_run(reference, 41))
+        assert_same_chain(compiled, reference)
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_calls_that_end_mid_block(self, counting, cpus):
@@ -704,13 +730,13 @@ class TestDrawAhead:
             draw(*args)
 
         monkeypatch.setattr(lib, "cw_draw", recording_draw)
-        current_cpu, here = lib.cw_current_cpu, []
+        current_cpu, here = samplers._sched_getcpu, []
 
         def recording_cpu():
             here.append(current_cpu())
             return here[-1]
 
-        monkeypatch.setattr(lib, "cw_current_cpu", recording_cpu)
+        monkeypatch.setattr(samplers, "_sched_getcpu", recording_cpu)
         mask = os.sched_getaffinity(0)
         compiled, reference = self.chains(0.0)
         assert repr(list(run(compiled, 41))) == repr(oracle_run(reference, 41))
